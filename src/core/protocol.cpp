@@ -220,12 +220,15 @@ void ProtocolBuilder::add_transition(std::string_view p, std::string_view q, std
     add_transition(require_state(p), require_state(q), require_state(p2), require_state(q2));
 }
 
-StateId ProtocolBuilder::require_state(std::string_view name) const {
+std::optional<StateId> ProtocolBuilder::find_state(std::string_view name) const {
     auto it = name_to_state_.find(std::string(name));
-    if (it == name_to_state_.end())
-        throw std::invalid_argument("ProtocolBuilder: unknown state name '" + std::string(name) +
-                                    "'");
+    if (it == name_to_state_.end()) return std::nullopt;
     return it->second;
+}
+
+StateId ProtocolBuilder::require_state(std::string_view name) const {
+    if (const auto id = find_state(name)) return *id;
+    throw std::invalid_argument("ProtocolBuilder: unknown state name '" + std::string(name) + "'");
 }
 
 void ProtocolBuilder::set_input(std::string name, StateId state) {

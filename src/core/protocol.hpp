@@ -307,6 +307,10 @@ public:
     void set_rule_table(RuleTable kind) noexcept { rule_table_ = kind; }
 
     std::size_t num_states() const noexcept { return names_.size(); }
+    std::size_t num_transitions() const noexcept { return transitions_.size(); }
+
+    /// Looks up a declared state by name (hashed); nullopt if absent.
+    std::optional<StateId> find_state(std::string_view name) const;
 
     /// Finalises the protocol. Throws std::invalid_argument if no states or
     /// no input variable were declared.

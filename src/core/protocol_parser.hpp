@@ -57,12 +57,29 @@ struct ParseWarning {
     std::string message;
 };
 
-/// Parses the format above.  Throws std::invalid_argument with a
-/// line-numbered message on any syntax or semantic error, and the typed
-/// DuplicateRuleError subtype when the same pre-pair is redefined with a
-/// different post-pair.  A byte-identical duplicate rule is legal but
-/// reported through `warnings` (ignored when null).
+/// Parses the format above in one pass, in time linear in the text size.
+/// Throws std::invalid_argument with a line-numbered message on any syntax
+/// or semantic error, and the typed DuplicateRuleError subtype when the
+/// same pre-pair is redefined with a different post-pair.  A byte-identical
+/// duplicate rule is legal but reported through `warnings` (ignored when
+/// null).
 Protocol parse_protocol(std::string_view text, std::vector<ParseWarning>* warnings = nullptr);
+
+/// A parsed protocol with the 1-based source line of everything in it.
+struct ParsedProtocol {
+    Protocol protocol;
+    std::vector<ParseWarning> warnings;
+    /// Line of each state's `state` declaration, indexed by StateId.
+    std::vector<std::size_t> state_line;
+    /// Line of the first `trans`/`trans+` that introduced each canonical
+    /// rule, indexed by TransitionId (silent rules and identical duplicates
+    /// add no transition).
+    std::vector<std::size_t> transition_line;
+};
+
+/// parse_protocol, also returning the warnings and the source lines that
+/// tools need to point diagnostics back into the file.
+ParsedProtocol parse_protocol_with_source(std::string_view text);
 
 /// Serialises a protocol back to the text format (round-trips through
 /// parse_protocol).

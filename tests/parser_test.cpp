@@ -139,6 +139,110 @@ TEST(ProtocolParser, TransPlusDeclaresNondeterminism) {
         std::invalid_argument);
 }
 
+// --- tokenizer edge cases ----------------------------------------------------
+
+/// The error text parse_protocol throws for `text` ("" when it parses).
+std::string parse_error(const std::string& text) {
+    try {
+        parse_protocol(text);
+    } catch (const std::invalid_argument& e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(ProtocolParser, CrlfAndEveryIsspaceSeparatorParseLikeSpaces) {
+    // Lines split on '\n' only; tokens split on the C-locale isspace set,
+    // so '\r', '\t', '\v' and '\f' all separate tokens.  The last line
+    // needs no newline.
+    const std::string odd =
+        "state x 0\r\n"
+        "state\tT\t1\r\n"
+        "\v input x\f->\tx \r\n"
+        "\r\n"
+        "trans x\vx -> T\fT\r\n"
+        "trans T x -> T T";
+    EXPECT_EQ(format_protocol(parse_protocol(odd)), format_protocol(parse_protocol(kThreshold2)));
+}
+
+TEST(ProtocolParser, LineNumbersCountNewlinesOnly) {
+    // A last line without newline is still a line; a trailing newline adds
+    // none; '\r' never starts a line.
+    EXPECT_EQ(parse_error("state a 0\nstate b 0"),
+              "protocol parse error, line 2: no input declaration");
+    EXPECT_EQ(parse_error("state a 0\nstate b 0\n"),
+              "protocol parse error, line 2: no input declaration");
+    EXPECT_EQ(parse_error("state a 0\r\nstate b 0\r\n\r\n"),
+              "protocol parse error, line 3: no input declaration");
+    EXPECT_EQ(parse_error("state a 0\rstate b 0\n"),
+              "protocol parse error, line 1: expected: state <name> <0|1>");
+    EXPECT_EQ(parse_error("state a 0\ninput x -> a\ntrans a a -> b b"),
+              "protocol parse error, line 3: unknown state 'b'");
+    EXPECT_EQ(parse_error("state a 0\r\n\r\nfoo bar\r\n"),
+              "protocol parse error, line 3: unknown keyword 'foo'");
+    EXPECT_EQ(parse_error(""), "protocol parse error, line 0: no input declaration");
+}
+
+TEST(ProtocolParser, HashStartsACommentOnlyAtTokenStart) {
+    const Protocol p = parse_protocol("state x#y 0 #comment\nstate T# 1\ninput x -> x#y\n"
+                                      "trans x#y x#y -> T# T#  # rule\n");
+    ASSERT_EQ(p.num_states(), 2u);
+    EXPECT_EQ(p.state_name(0), "x#y");
+    EXPECT_EQ(p.state_name(1), "T#");
+    EXPECT_EQ(p.num_transitions(), 1u);
+    EXPECT_EQ(parse_error("state a 0#1\n"), "protocol parse error, line 1: output must be 0 or 1");
+    EXPECT_EQ(parse_error("#state a 0\n"), "protocol parse error, line 1: no input declaration");
+}
+
+// --- exact message text ------------------------------------------------------
+
+TEST(ProtocolParser, MessagesNamePairsCanonically) {
+    // Pair text lists names in state-id order whichever order the file
+    // wrote them in.
+    for (const char* first : {"trans a b -> b b\n", "trans b a -> b b\n"}) {
+        for (const char* second : {"trans a b -> a a\n", "trans b a -> a a\n"}) {
+            const std::string head = std::string("state a 0\nstate b 1\ninput x -> a\n") + first;
+            EXPECT_EQ(parse_error(head + second),
+                      "protocol parse error, line 5: conflicting redefinition of pair {a, b} "
+                      "(first defined at line 4; use trans+ to add a nondeterministic rule)");
+            std::vector<ParseWarning> warnings;
+            parse_protocol(head + "trans b a -> b b\n", &warnings);
+            ASSERT_EQ(warnings.size(), 1u);
+            EXPECT_EQ(warnings[0].line, 5u);
+            EXPECT_EQ(warnings[0].message, "duplicate rule for pair {a, b} (identical to line 4)");
+        }
+    }
+    for (const char* rule : {"trans+ a b -> b b\n", "trans+ b a -> b b\n"})
+        EXPECT_EQ(parse_error(std::string("state a 0\nstate b 1\ninput x -> a\n") + rule),
+                  "protocol parse error, line 4: trans+ extends pair {a, b}, which has no prior "
+                  "rule (use trans)");
+}
+
+TEST(ProtocolParser, RecordsSourceLinesInTheSamePass) {
+    const std::string text =
+        "state a 0\n"           // 1
+        "# comment\n"           // 2
+        "state b 1\n"           // 3
+        "input x -> a\n"        // 4
+        "trans b a -> b b\n"    // 5  transition 0
+        "trans b b -> b b\n"    // 6  silent: no transition
+        "trans a b -> b b\n"    // 7  identical to line 5
+        "trans+ b a -> a a\n"   // 8  transition 1
+        "trans a a -> b b\r\n"; // 9  transition 2
+    const ParsedProtocol parsed = parse_protocol_with_source(text);
+    EXPECT_EQ(parsed.state_line, (std::vector<std::size_t>{1, 3}));
+    EXPECT_EQ(parsed.transition_line, (std::vector<std::size_t>{5, 8, 9}));
+    ASSERT_EQ(parsed.protocol.num_transitions(), 3u);
+    ASSERT_EQ(parsed.warnings.size(), 1u);
+    EXPECT_EQ(parsed.warnings[0].line, 7u);
+    EXPECT_EQ(parsed.warnings[0].message, "duplicate rule for pair {a, b} (identical to line 5)");
+    // The plain entry point is the same parse.
+    std::vector<ParseWarning> separate;
+    EXPECT_EQ(format_protocol(parse_protocol(text, &separate)), format_protocol(parsed.protocol));
+    ASSERT_EQ(separate.size(), 1u);
+    EXPECT_EQ(separate[0].message, parsed.warnings[0].message);
+}
+
 TEST(ProtocolFamilies, EveryRegisteredFamilyBuildsAndRoundTrips) {
     // The registry is the source of the tool's help text; each listed name
     // must build from its documented example parameters, serialise, and

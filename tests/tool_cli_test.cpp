@@ -106,6 +106,49 @@ TEST_F(ToolFixture, HelpAndDemoSucceed) {
     EXPECT_EQ(run_tool("demo").exit_code, 0);
 }
 
+// --- analyze diagnostics ---------------------------------------------------
+
+// Every `file:line: severity [code]: message` line of `analyze`, pinned on a
+// hand-written file that exercises the loader's corner cases: comments and
+// blank lines, CRLF and tab separators, a silent rule, pairs written in
+// non-canonical order, a `trans+` rule, and an identical duplicate, which
+// warns at its own line while its transition keeps the first line.
+TEST_F(ToolFixture, AnalyzeDiagnosticsPointAtSourceLines) {
+    const std::string file = (dir / "lines.pp").string();
+    std::ofstream(file, std::ios::binary) << "# analyze fixture\n"        // 1
+                                             "\n"                          // 2
+                                             "state x 0\r\n"               // 3
+                                             "state\tT\t1\n"               // 4
+                                             "state z 0   # never made\n"  // 5
+                                             "input x -> x\n"              // 6
+                                             "trans T x -> T T\r\n"        // 7
+                                             "trans T T -> T T\n"          // 8 silent
+                                             "trans z x -> z T\n"          // 9 dead
+                                             "trans+ x z -> x x\n"         // 10 dead
+                                             "trans x z -> T z\n"          // 11 = line 9
+                                             "trans x x -> T T";           // 12
+    const RunResult r = run_tool("analyze " + file);
+    ASSERT_EQ(r.exit_code, 0) << r.output;
+    const std::string expected =
+        file + ":11: warning [duplicate-rule]: duplicate rule for pair {x, z} (identical to "
+               "line 9)\n" +
+        file + ":5: note [unreachable-state]: state 'z' is unreachable from every initial "
+               "configuration\n" +
+        file + ":9: note [dead-transition]: transition 1 can never fire (pre-state 'z' is "
+               "unreachable)\n" +
+        file + ":10: note [dead-transition]: transition 2 can never fire (pre-state 'z' is "
+               "unreachable)\n" +
+        file + ":1: warning [trap-empty]: the output trap W_0 is empty: trap-based "
+               "stable-consensus detection can never certify output 0\n" +
+        file + ":3: note [nondeterministic-pair]: pair {x, z} has 2 rules (nondeterministic)\n";
+    const std::size_t summary = r.output.find("analyze: ");
+    ASSERT_NE(summary, std::string::npos) << r.output;
+    EXPECT_EQ(r.output.substr(0, summary), expected);
+    EXPECT_EQ(r.output.substr(summary, r.output.find('\n', summary) - summary),
+              "analyze: 1 unreachable state, 2 dead transitions, consensus 0 possible, "
+              "consensus 1 possible");
+}
+
 // --- crash/resume end to end -----------------------------------------------
 
 TEST_F(ToolFixture, LongrunSurvivesSigkillAndResumesToReferenceDigest) {
