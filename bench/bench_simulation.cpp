@@ -8,14 +8,19 @@
 // the simulation-side context for the paper's introduction (time/state
 // trade-offs).
 //
+// The analysis layers have one production path each; their `BM_*Reference`
+// rows time the seed-era formulations kept as test oracles in
+// tests/reference/ (the ppsc_reference library this binary links), so each
+// row pair keeps showing what the production path buys.
+//
 // Flags (after the --benchmark_* flags):
 //   --skip-sweeps  omits the E10/E11 sweep tables (used by
 //                  bench/run_benchmarks.sh, which only wants the JSON
 //                  microbenchmark numbers);
 //   --e11-smoke    runs only a tiny E11 workload end to end (family
-//                  correctness in randomized simulation + both fired-step
-//                  selection paths) and exits non-zero on failure — the CI
-//                  smoke entry point;
+//                  correctness in randomized simulation, both fired-step
+//                  selection paths, and the forced-sparse rule table) and
+//                  exits non-zero on failure — the CI smoke entry point;
 //   --epoch-smoke  deterministic statistical checks of the epoch-batched
 //                  stepping mode (sampler moments, multinomial GOF, epoch
 //                  vs per-step convergence, fired accounting) — the CI
@@ -37,11 +42,11 @@
 
 #include "analyze/analyze.hpp"
 #include "analyze/checker.hpp"
-#include "bounds/pumping.hpp"
 #include "diophantine/realisable.hpp"
 #include "protocols/double_exp_threshold.hpp"
 #include "protocols/families.hpp"
 #include "protocols/threshold.hpp"
+#include "reference/reference.hpp"
 #include "search/busy_beaver.hpp"
 #include "sim/checkpoint.hpp"
 #include "sim/experiment.hpp"
@@ -384,26 +389,27 @@ BENCHMARK(BM_E11MergePhaseCheckpointed)->Args({13, 1 << 14});
 
 // Output-trap computation on the flagship tower: the worklist fixpoint
 // (O(|T| + evictions · deg), sim/traps.hpp) against the O(passes · |T|)
-// reference pass structure.  Eviction chains on this family advance one
+// pass structure of the reference::output_trap oracle.  Eviction chains on this family advance one
 // token level per reference pass, so reference cost grows with |Q| · |T| —
 // n = 17 (|Q| = 131075) is benchmarked for the worklist only; the
 // reference needs tens of billions of transition checks there, which is
 // exactly the wall this family of benchmarks documents the removal of.
-void trap_compute_bench(benchmark::State& state, TrapCompute kind) {
+using TrapFn = std::vector<bool> (*)(const Protocol&, int);
+void trap_compute_bench(benchmark::State& state, TrapFn compute) {
     const Protocol& protocol = e11_flagship_protocol(static_cast<int>(state.range(0)));
     for (auto _ : state) {
         for (int b = 0; b < 2; ++b) {
-            const std::vector<bool> trap = compute_output_trap(protocol, b, kind);
+            const std::vector<bool> trap = compute(protocol, b);
             benchmark::DoNotOptimize(trap);
         }
     }
     state.SetLabel("|Q|=" + std::to_string(protocol.num_states()));
 }
 void BM_ComputeOutputTrapsWorklist(benchmark::State& state) {
-    trap_compute_bench(state, TrapCompute::worklist);
+    trap_compute_bench(state, &compute_output_trap);
 }
 void BM_ComputeOutputTrapsReference(benchmark::State& state) {
-    trap_compute_bench(state, TrapCompute::reference);
+    trap_compute_bench(state, &reference::output_trap);
 }
 BENCHMARK(BM_ComputeOutputTrapsWorklist)->Arg(10)->Arg(13)->Arg(17)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ComputeOutputTrapsReference)->Arg(10)->Arg(13)->Unit(benchmark::kMillisecond);
@@ -473,70 +479,77 @@ void BM_ExhaustiveVerification(benchmark::State& state) {
 }
 BENCHMARK(BM_ExhaustiveVerification)->Arg(6)->Arg(10)->Arg(14);
 
-// --- Analysis stack (PR 6) --------------------------------------------------
+// --- Analysis stack ----------------------------------------------------------
+//
+// Each row pair times the production path against the seed-era formulation
+// it replaced, now a test oracle (tests/reference/, linked from the
+// ppsc_reference library).
 
 // Backward closure over a materialised slice: the round-structured worklist
-// on the flat reverse CSR against the seed-era per-node-vector reverse BFS.
-// The slice (unary_threshold(4), population = state.range(0)) has
-// C(pop + 4, 4) nodes; the seed set is Bad_1, the stable-set use.
-void backward_closure_bench(benchmark::State& state, ClosureCompute compute) {
+// on the flat reverse CSR against the oracle's per-node-vector reverse BFS.
+// Both build their reverse edges once, outside the timed loop.  The slice
+// (unary_threshold(4), population = state.range(0)) has C(pop + 4, 4)
+// nodes; the seed set is Bad_1, the stable-set use.
+void backward_closure_bench(benchmark::State& state, bool oracle) {
     const Protocol protocol = protocols::unary_threshold(4);
     const auto population = static_cast<AgentCount>(state.range(0));
     const ReachabilityGraph graph = ReachabilityGraph::full_slice(protocol, population, {});
     std::vector<bool> bad(graph.num_nodes(), false);
     for (std::size_t node = 0; node < graph.num_nodes(); ++node)
         bad[node] = protocol.consensus_output(graph.config(static_cast<NodeId>(node))) != 1;
+    const reference::ReverseEdges reverse =
+        oracle ? reference::reverse_edges(graph) : reference::ReverseEdges{};
     for (auto _ : state) {
-        const std::vector<bool> closure = graph.backward_closure(bad, compute);
+        const std::vector<bool> closure =
+            oracle ? reference::backward_closure(reverse, bad) : graph.backward_closure(bad);
         benchmark::DoNotOptimize(closure);
     }
     state.SetLabel("nodes=" + std::to_string(graph.num_nodes()));
 }
-void BM_BackwardClosureSparse(benchmark::State& state) {
-    backward_closure_bench(state, ClosureCompute::sparse);
-}
-void BM_BackwardClosureReference(benchmark::State& state) {
-    backward_closure_bench(state, ClosureCompute::reference);
-}
+void BM_BackwardClosureSparse(benchmark::State& state) { backward_closure_bench(state, false); }
+void BM_BackwardClosureReference(benchmark::State& state) { backward_closure_bench(state, true); }
 BENCHMARK(BM_BackwardClosureSparse)->Arg(10)->Arg(14);
 BENCHMARK(BM_BackwardClosureReference)->Arg(10)->Arg(14);
 
-// The full stable-set pipeline (slice construction: sparse successor
-// enumeration vs. dense support² probing, plus both closure backends) on
-// the E11 tower base.
-void stable_flags_bench(benchmark::State& state, ClosureCompute compute) {
+// The full stable-set pipeline on the E11 tower base, sizes 2..state.range(0):
+// StableAnalysis (CSR slice construction + worklist closures) against the
+// oracle's stability flags (its own slice enumeration, support² probing,
+// reverse BFS).
+void BM_StableFlagsSparse(benchmark::State& state) {
     const Protocol protocol = protocols::double_exp_threshold(2);
     const auto max_population = static_cast<AgentCount>(state.range(0));
     for (auto _ : state) {
-        const StableAnalysis analysis(protocol, max_population, {}, compute);
+        const StableAnalysis analysis(protocol, max_population);
         benchmark::DoNotOptimize(analysis.stable_counts(1));
     }
 }
-void BM_StableFlagsSparse(benchmark::State& state) {
-    stable_flags_bench(state, ClosureCompute::sparse);
-}
 void BM_StableFlagsReference(benchmark::State& state) {
-    stable_flags_bench(state, ClosureCompute::reference);
+    const Protocol protocol = protocols::double_exp_threshold(2);
+    const auto max_population = static_cast<AgentCount>(state.range(0));
+    for (auto _ : state) {
+        for (AgentCount population = 2; population <= max_population; ++population)
+            benchmark::DoNotOptimize(reference::stability_flags(protocol, population));
+    }
 }
 BENCHMARK(BM_StableFlagsSparse)->Arg(6)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_StableFlagsReference)->Arg(6)->Unit(benchmark::kMillisecond);
 
 // Corollary 5.7 basis computation: incremental-residual completion + O(|T|)
-// scatter row assembly against the recompute-everything reference.
-void realisable_basis_bench(benchmark::State& state, HilbertCompute compute) {
+// scatter row assembly against the oracle's recompute-everything
+// completion + |Q|·|T| row scan.
+using RealisableFn = RealisableBasis (*)(const Protocol&, const HilbertOptions&);
+void realisable_basis_bench(benchmark::State& state, RealisableFn compute) {
     const Protocol protocol = protocols::collector_threshold(static_cast<AgentCount>(state.range(0)));
-    HilbertOptions options;
-    options.compute = compute;
     for (auto _ : state) {
-        const RealisableBasis basis = realisable_multiset_basis(protocol, options);
+        const RealisableBasis basis = compute(protocol, {});
         benchmark::DoNotOptimize(basis.elements);
     }
 }
 void BM_RealisableBasisSparse(benchmark::State& state) {
-    realisable_basis_bench(state, HilbertCompute::sparse);
+    realisable_basis_bench(state, &realisable_multiset_basis);
 }
 void BM_RealisableBasisReference(benchmark::State& state) {
-    realisable_basis_bench(state, HilbertCompute::reference);
+    realisable_basis_bench(state, &reference::realisable_multiset_basis);
 }
 BENCHMARK(BM_RealisableBasisSparse)->Arg(5)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_RealisableBasisReference)->Arg(5)->Unit(benchmark::kMillisecond);
@@ -678,46 +691,6 @@ int run_e11_smoke() {
             complete = complete && row.interactions == tiny.interactions_per_row;
         check(complete, label);
     }
-    std::printf("E11 smoke: reference trap computation forced on every instance\n");
-    {
-        // Mirrors the forced-sparse leg below: the reference trap fixpoint
-        // must still build and drive the workload, and the worklist must
-        // produce identical traps and identical convergence rows.
-        const Protocol p = protocols::double_exp_threshold(3);
-        const Simulator worklist(p, PairSelect::automatic, TrapCompute::worklist);
-        const Simulator reference(p, PairSelect::automatic, TrapCompute::reference);
-        bool traps_identical = true;
-        for (int b = 0; b < 2; ++b)
-            traps_identical = traps_identical && worklist.output_trap(b) == reference.output_trap(b);
-        check(traps_identical, "worklist/reference trap sets identical");
-
-        ConvergenceSweepOptions options;
-        options.runs_per_size = 4;
-        options.trap_compute = TrapCompute::reference;
-        const auto ref_rows = convergence_sweep(
-            p, {200, 256, 300}, [](AgentCount i) { return i >= 256 ? 1 : 0; }, options);
-        options.trap_compute = TrapCompute::worklist;
-        const auto wl_rows = convergence_sweep(
-            p, {200, 256, 300}, [](AgentCount i) { return i >= 256 ? 1 : 0; }, options);
-        bool rows_identical = ref_rows.size() == wl_rows.size();
-        for (std::size_t i = 0; rows_identical && i < ref_rows.size(); ++i) {
-            rows_identical = ref_rows[i].converged_runs == wl_rows[i].converged_runs &&
-                             ref_rows[i].mean_parallel_time == wl_rows[i].mean_parallel_time &&
-                             ref_rows[i].correct_fraction == wl_rows[i].correct_fraction;
-        }
-        check(rows_identical, "reference-trap convergence rows identical to worklist");
-
-        E11Options tiny;
-        tiny.tower_ns = {4};
-        tiny.populations = {512};
-        tiny.interactions_per_row = 1 << 16;
-        tiny.trap_compute = TrapCompute::reference;
-        const auto rows = e11_throughput_sweep(tiny);
-        bool complete = !rows.empty();
-        for (const ThroughputRow& row : rows)
-            complete = complete && row.interactions == tiny.interactions_per_row;
-        check(complete, "forced-reference-trap rows complete");
-    }
     std::printf("E11 smoke: sparse rule table forced on every instance\n");
     {
         E11Options tiny;
@@ -848,125 +821,6 @@ int run_epoch_smoke() {
     return ok ? 0 : 1;
 }
 
-// Analysis-stack smoke (PR 6): every ported layer run under both the sparse
-// default and the forced dense reference on E11-family members, asserting
-// result identity end to end.  Exits non-zero on any disagreement — the CI
-// entry point for the verification stack (the deep sweeps live in
-// tests/analysis_sparse_test.cpp).
-int run_analysis_smoke() {
-    bool ok = true;
-    const auto check = [&ok](bool condition, const char* what) {
-        std::printf("  %-60s %s\n", what, condition ? "ok" : "FAIL");
-        ok = ok && condition;
-    };
-    const auto options_for = [](ClosureCompute compute) {
-        ReachabilityOptions options;
-        options.compute = compute;
-        return options;
-    };
-
-    std::printf("analysis smoke: reachability slices, sparse vs reference\n");
-    {
-        const Protocol p = protocols::double_exp_threshold(2);
-        const ReachabilityGraph sparse =
-            ReachabilityGraph::full_slice(p, 4, options_for(ClosureCompute::sparse));
-        const ReachabilityGraph reference =
-            ReachabilityGraph::full_slice(p, 4, options_for(ClosureCompute::reference));
-        bool identical = sparse.num_nodes() == reference.num_nodes() &&
-                         sparse.num_edges() == reference.num_edges();
-        for (std::size_t node = 0; identical && node < sparse.num_nodes(); ++node) {
-            const auto id = static_cast<NodeId>(node);
-            const auto a = sparse.successors(id);
-            const auto b = reference.successors(id);
-            identical = sparse.config(id) == reference.config(id) &&
-                        std::equal(a.begin(), a.end(), b.begin(), b.end());
-        }
-        check(identical, "double_exp(2) population-4 slice identical");
-
-        std::vector<bool> bad(sparse.num_nodes(), false);
-        for (std::size_t node = 0; node < sparse.num_nodes(); ++node)
-            bad[node] = p.consensus_output(sparse.config(static_cast<NodeId>(node))) != 1;
-        check(sparse.backward_closure(bad, ClosureCompute::sparse) ==
-                  sparse.backward_closure(bad, ClosureCompute::reference),
-              "backward closure of Bad_1 identical");
-    }
-    std::printf("analysis smoke: stable sets\n");
-    {
-        const Protocol p = protocols::double_exp_threshold(2);
-        const StableAnalysis sparse(p, 4, {}, ClosureCompute::sparse);
-        const StableAnalysis reference(p, 4, {}, ClosureCompute::reference);
-        bool identical = true;
-        for (AgentCount population = 2; population <= 4; ++population)
-            for (int b = 0; b < 2; ++b)
-                identical = identical && sparse.stable_configs(population, b) ==
-                                             reference.stable_configs(population, b);
-        check(identical, "double_exp(2) stable sets identical on sizes 2..4");
-    }
-    std::printf("analysis smoke: verifier verdicts and two-phase threshold\n");
-    {
-        const Protocol p = protocols::unary_threshold(3);
-        const Verifier sparse(p, options_for(ClosureCompute::sparse));
-        const Verifier reference(p, options_for(ClosureCompute::reference));
-        bool identical = true;
-        for (AgentCount i = 2; i <= 8; ++i) {
-            const InputVerdict a = sparse.verify_input(i);
-            const InputVerdict b = reference.verify_input(i);
-            identical = identical && a.well_specified == b.well_specified &&
-                        a.computed == b.computed && a.explored_nodes == b.explored_nodes;
-        }
-        check(identical, "unary_threshold(3) verdicts identical on inputs 2..8");
-        check(sparse.infer_threshold(8) == AgentCount{3}, "exact threshold is 3");
-        ScreeningOptions screening;
-        screening.max_interactions = 4'000;
-        check(sparse.infer_threshold(8, screening) == sparse.infer_threshold(8),
-              "two-phase threshold identical to exact");
-    }
-    std::printf("analysis smoke: diophantine bases\n");
-    {
-        for (const AgentCount eta : {AgentCount{2}, AgentCount{3}}) {
-            const Protocol p = protocols::collector_threshold(eta);
-            HilbertOptions sparse, reference;
-            sparse.compute = HilbertCompute::sparse;
-            reference.compute = HilbertCompute::reference;
-            const RealisableBasis a = realisable_multiset_basis(p, sparse);
-            const RealisableBasis b = realisable_multiset_basis(p, reference);
-            char what[96];
-            std::snprintf(what, sizeof what, "collector(%lld) realisable basis identical",
-                          static_cast<long long>(eta));
-            check(a.elements == b.elements && a.inputs == b.inputs && a.results == b.results,
-                  what);
-        }
-    }
-    std::printf("analysis smoke: pumping selections\n");
-    {
-        const Protocol p = protocols::unary_threshold(3);
-        bool identical = true;
-        for (AgentCount input = 2; input <= 6; ++input)
-            identical = identical &&
-                        bounds::stable_configuration_for_input(p, input, {},
-                                                               ClosureCompute::sparse) ==
-                            bounds::stable_configuration_for_input(p, input, {},
-                                                                   ClosureCompute::reference);
-        check(identical, "unary_threshold(3) stable configurations identical");
-    }
-    std::printf("analysis smoke: screened busy-beaver sweep\n");
-    {
-        search::SearchOptions exact;
-        exact.max_input = 6;
-        search::SearchOptions screened = exact;
-        screened.screen = true;
-        screened.screening.max_interactions = 2'000;
-        const auto a = search::busy_beaver_search(2, exact);
-        const auto b = search::busy_beaver_search(2, screened);
-        check(a.best_eta == b.best_eta && a.threshold_protocols == b.threshold_protocols &&
-                  a.eta_histogram == b.eta_histogram,
-              "screened n=2 sweep result-identical to exact");
-        check(b.screened_out > 0, "screening absorbed some candidates");
-    }
-    std::printf("analysis smoke: %s\n", ok ? "PASS" : "FAIL");
-    return ok ? 0 : 1;
-}
-
 // Static-analyzer smoke: run analyze_protocol over *every* registered
 // protocol family (built from its documented example parameters), require
 // the independent checker to accept every emitted certificate and the
@@ -1012,7 +866,6 @@ int main(int argc, char** argv) {
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--e11-smoke") == 0) return run_e11_smoke();
         if (std::strcmp(argv[i], "--epoch-smoke") == 0) return run_epoch_smoke();
-        if (std::strcmp(argv[i], "--analysis-smoke") == 0) return run_analysis_smoke();
         if (std::strcmp(argv[i], "--analyze-smoke") == 0) return run_analyze_smoke();
     }
     benchmark::Initialize(&argc, argv);

@@ -47,8 +47,8 @@ fi
 echo "== ppsc_lint --self-test =="
 "${lint_bin}" --self-test
 
-echo "== ppsc_lint over src/ examples/ tools/ =="
-"${lint_bin}" "${repo_root}/src" "${repo_root}/examples" \
+echo "== ppsc_lint over src/ examples/ tests/reference/ tools/ =="
+"${lint_bin}" "${repo_root}/src" "${repo_root}/examples" "${repo_root}/tests/reference" \
     "${repo_root}/tools/ppsc_lint/ppsc_lint.cpp"
 
 # --- 3. cppcheck ------------------------------------------------------------
@@ -60,10 +60,10 @@ echo "== ppsc_lint over src/ examples/ tools/ =="
 if command -v cppcheck >/dev/null 2>&1; then
     # Same file set as the ppsc_lint tree pass: the lint fixtures are
     # deliberately pathological and stay out of scope.
-    cppcheck_paths=("${repo_root}/src" "${repo_root}/examples"
+    cppcheck_paths=("${repo_root}/src" "${repo_root}/examples" "${repo_root}/tests/reference"
         "${repo_root}/tools/ppsc_lint/ppsc_lint.cpp")
     cppcheck_common=(--std=c++20 --language=c++ --inline-suppr --quiet
-        --suppress=missingIncludeSystem -I "${repo_root}/src")
+        --suppress=missingIncludeSystem -I "${repo_root}/src" -I "${repo_root}/tests")
     echo "== cppcheck (errors are blocking) =="
     cppcheck "${cppcheck_common[@]}" --error-exitcode=1 "${cppcheck_paths[@]}"
     echo "== cppcheck --enable=warning,portability (advisory) =="

@@ -255,7 +255,7 @@ Analysis analyze_protocol(const Protocol& protocol, const AnalysisOptions& optio
     // certify output b; only silence can then witness stabilization.
     for (int b = 0; b <= 1; ++b) {
         if (analysis.consensus_refuted[static_cast<std::size_t>(b)]) continue;
-        const std::vector<bool> trap = compute_output_trap(protocol, b, TrapCompute::worklist);
+        const std::vector<bool> trap = compute_output_trap(protocol, b);
         if (std::find(trap.begin(), trap.end(), true) == trap.end())
             note(Severity::warning, "trap-empty",
                  "the output trap W_" + std::to_string(b) +

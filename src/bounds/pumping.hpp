@@ -42,12 +42,6 @@ struct PumpingOptions {
     AgentCount max_input = 16;       ///< horizon for the C_i sequence
     int check_lambdas = 2;           ///< how many pumped inputs to re-verify
     ReachabilityOptions reachability;
-    /// Backend for the stable-configuration selection (and, via
-    /// `reachability.compute`, the graph construction itself): `sparse`
-    /// aggregates per-component consensus and least member in one pass over
-    /// the nodes; `reference` is the seed-era per-component rescan.  Both
-    /// are result-identical (asserted in tests/analysis_sparse_test.cpp).
-    ClosureCompute compute = ClosureCompute::sparse;
 };
 
 /// Runs the pipeline.  Returns nullopt if no ordered pair of stable
@@ -61,9 +55,10 @@ std::optional<PumpingCertificate> find_pumping_certificate(const Protocol& proto
 /// The stable configuration C_i the pipeline selects for one input:
 /// the lexicographically least configuration of the least-index consensus
 /// bottom SCC reachable from IC(i); nullopt if no bottom SCC is a
-/// consensus (ill-specified input).
+/// consensus (ill-specified input).  One pass over the nodes aggregates
+/// every bottom component's verdict and least member; the seed-era
+/// per-component rescan is a test oracle in tests/reference/.
 std::optional<Config> stable_configuration_for_input(const Protocol& protocol, AgentCount input,
-                                                     const ReachabilityOptions& options = {},
-                                                     ClosureCompute compute = ClosureCompute::sparse);
+                                                     const ReachabilityOptions& options = {});
 
 }  // namespace ppsc::bounds

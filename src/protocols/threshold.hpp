@@ -18,7 +18,10 @@
 //                                triggers an accepting epidemic.
 //
 // All three are leaderless, single-input, and exhaustively verified in the
-// test suite; DESIGN.md sketches the collector correctness argument.
+// test suite.  The collector never accepts below η: t_i holds value 2^i,
+// c_m holds η − (η mod 2^m) and z holds 0; every transition that does not
+// produce T conserves the agents' total value, and the first T is produced
+// only by agents whose combined value is ≥ η (the epidemic spreads it).
 #pragma once
 
 #include <cstdint>

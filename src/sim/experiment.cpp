@@ -29,7 +29,7 @@ std::vector<ConvergenceRow> convergence_sweep(const Protocol& protocol,
                                               const std::vector<AgentCount>& populations,
                                               const std::function<int(AgentCount)>& expected,
                                               const ConvergenceSweepOptions& options) {
-    const Simulator simulator(protocol, PairSelect::automatic, options.trap_compute);
+    const Simulator simulator(protocol);
     const std::uint64_t runs = options.runs_per_size;
     const std::size_t total_trials = populations.size() * static_cast<std::size_t>(runs);
 
@@ -178,8 +178,7 @@ std::vector<ThroughputRow> e11_throughput_sweep(const E11Options& options) {
                 variant.protocol = variant.protocol.with_rule_table(options.rule_table);
         }
         for (const Variant& variant : variants) {
-            const Simulator simulator(variant.protocol, options.selection,
-                                      options.trap_compute);
+            const Simulator simulator(variant.protocol, options.selection);
             for (const AgentCount population : options.populations) {
                 Rng rng(options.seed ^ (row_index++ << 32));
                 Config config = variant.protocol.initial_config(population);

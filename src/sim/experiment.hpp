@@ -37,11 +37,6 @@ struct ConvergenceSweepOptions {
     /// Worker threads running trials: 1 = serial, 0 = one per hardware
     /// thread.  The produced rows do not depend on this setting.
     unsigned parallelism = 0;
-    /// Trap-computation algorithm of the sweep's simulator.  Both produce
-    /// identical traps and therefore identical rows; `reference` exists for
-    /// the CI leg that asserts exactly that.  The worklist is what makes
-    /// convergence (not just throughput) sweeps feasible at |Q| ≥ 10⁵.
-    TrapCompute trap_compute = TrapCompute::worklist;
     /// Per-trial crash-safe checkpointing (sim/checkpoint.hpp): when
     /// `checkpoint_dir` is set and `checkpoint_every` > 0, every trial
     /// writes rotated snapshots into
@@ -124,11 +119,6 @@ struct E11Options {
     /// small instances included — through the hash-table lookup, which is
     /// how the CI smoke covers the sparse path end to end.
     RuleTable rule_table = RuleTable::automatic;
-    /// Trap-computation algorithm of the swept simulators (identical traps
-    /// either way; the forced-`reference` CI smoke leg mirrors the
-    /// forced-sparse one).  `trap_setup_seconds` makes the difference
-    /// visible as a column.
-    TrapCompute trap_compute = TrapCompute::worklist;
     /// Stepping mode of the swept simulators: `epoch` batches the fired
     /// interactions of the merge frontier into multinomial draws
     /// (sim/simulator.hpp, engine idea 5), which is what pushes the n ≥ 2⁴⁰

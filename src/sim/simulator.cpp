@@ -34,8 +34,8 @@ constexpr std::size_t kFenwickPairThreshold = 256;
 
 }  // namespace
 
-Simulator::Simulator(const Protocol& protocol, PairSelect pair_select, TrapCompute trap_compute)
-    : protocol_(protocol), pair_select_(pair_select), trap_compute_(trap_compute) {
+Simulator::Simulator(const Protocol& protocol, PairSelect pair_select)
+    : protocol_(protocol), pair_select_(pair_select) {
     if (pair_select_ == PairSelect::automatic) {
         // The heuristic is keyed on the PairId universe (#non-silent pairs),
         // not on |Q|² — so it resolves identically under the dense and the
@@ -49,12 +49,11 @@ Simulator::Simulator(const Protocol& protocol, PairSelect pair_select, TrapCompu
 }
 
 void Simulator::compute_output_traps() {
-    // The fixpoint itself lives in sim/traps.cpp (worklist by default, with
-    // the original pass structure as TrapCompute::reference — identical trap
-    // sets).  The constructor additionally folds the two trap bitmaps into
-    // the per-state outside mask the count-delta hot path reads.
+    // The fixpoint itself lives in sim/traps.cpp.  The constructor
+    // additionally folds the two trap bitmaps into the per-state outside
+    // mask the count-delta hot path reads.
     const auto start = std::chrono::steady_clock::now();
-    for (int b = 0; b < 2; ++b) traps_[b] = compute_output_trap(protocol_, b, trap_compute_);
+    for (int b = 0; b < 2; ++b) traps_[b] = compute_output_trap(protocol_, b);
     const std::chrono::duration<double> elapsed = std::chrono::steady_clock::now() - start;
     trap_setup_seconds_ = elapsed.count();
 

@@ -68,8 +68,9 @@
 //      greatest-fixpoint under-approximation of the largest such trap
 //      (sim/traps.hpp: a worklist fixpoint over the protocol's
 //      transition-incidence index, O(|T| + evictions · deg) instead of the
-//      O(passes · |T|) reference pass structure it is asserted identical
-//      to — trap setup at |Q| ≥ 10⁵ in milliseconds instead of minutes).
+//      O(passes · |T|) pass structure it is asserted identical to in
+//      tests/sim_trap_test.cpp — trap setup at |Q| ≥ 10⁵ in milliseconds
+//      instead of minutes).
 //
 // Both checks are sound: `converged == true` really means the execution has
 // stabilised.  They are not complete; runs that stabilise in a form the
@@ -225,15 +226,10 @@ enum class PairSelect { automatic, fenwick, scan };
 class Simulator {
 public:
     explicit Simulator(const Protocol& protocol,
-                       PairSelect pair_select = PairSelect::automatic,
-                       TrapCompute trap_compute = TrapCompute::worklist);
+                       PairSelect pair_select = PairSelect::automatic);
 
     /// The selection mode actually in use (`automatic` resolved).
     PairSelect pair_selection() const noexcept { return pair_select_; }
-
-    /// The trap-computation algorithm this simulator was seeded with (both
-    /// produce identical traps; see sim/traps.hpp).
-    TrapCompute trap_compute() const noexcept { return trap_compute_; }
 
     /// Wall-clock seconds the constructor spent computing the output traps
     /// — the quantity the worklist fixpoint collapses at |Q| ≥ 10⁵
@@ -460,7 +456,6 @@ private:
     // Owned copy: simulators are long-lived; never dangle on a temporary.
     Protocol protocol_;
     PairSelect pair_select_;
-    TrapCompute trap_compute_;
     double trap_setup_seconds_ = 0.0;
     std::vector<bool> traps_[2];  // traps_[b][q]: q belongs to the b-trap
     /// outside_mask_[q]: bit b set ⟺ q lies *outside* trap b — one byte

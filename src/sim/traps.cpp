@@ -25,36 +25,20 @@ bool violating(const std::vector<bool>& trap, const Transition& t) {
            !(trap[static_cast<std::size_t>(t.post1)] && trap[static_cast<std::size_t>(t.post2)]);
 }
 
-/// The original fixpoint: full ascending passes until nothing changes.
-std::vector<bool> reference_trap(const Protocol& protocol, int b) {
-    std::vector<bool> trap = seed_trap(protocol, b);
-    bool changed = true;
-    while (changed) {
-        changed = false;
-        for (const Transition& t : protocol.transitions()) {
-            if (violating(trap, t)) {
-                trap[static_cast<std::size_t>(t.pre1)] = false;
-                trap[static_cast<std::size_t>(t.pre2)] = false;
-                changed = true;
-            }
-        }
-    }
-    return trap;
-}
-
-/// Round-structured worklist replaying the reference's eviction sequence.
+/// Round-structured worklist replaying the pass structure's eviction
+/// sequence (see sim/traps.hpp).
 ///
-/// The reference examines every transition at every pass; only transitions
-/// whose post-set lost a state since their last examination can newly
-/// violate (evictions are permanent, so a pre-state leaving the trap
-/// disables a transition forever).  The worklist therefore re-queues, on
-/// evicting state q, exactly the transitions producing q — into the current
-/// round's heap when their id is still ahead of the scan position (the
-/// reference pass would reach them later this pass), into the next round
-/// otherwise (the reference re-checks them one pass later).  Draining each
-/// round in ascending id order then visits every potentially-violating
-/// transition at the reference's exact relative position, so the eviction
-/// sequences — and the scan-order-dependent fixpoints — coincide.
+/// A full pass examines every transition; only transitions whose post-set
+/// lost a state since their last examination can newly violate (evictions
+/// are permanent, so a pre-state leaving the trap disables a transition
+/// forever).  The worklist therefore re-queues, on evicting state q,
+/// exactly the transitions producing q — into the current round's heap when
+/// their id is still ahead of the scan position (the pass would reach them
+/// later this pass), into the next round otherwise (the passes re-check
+/// them one pass later).  Draining each round in ascending id order then
+/// visits every potentially-violating transition at the pass structure's
+/// exact relative position, so the eviction sequences — and the
+/// scan-order-dependent fixpoints — coincide.
 std::vector<bool> worklist_trap(const Protocol& protocol, int b) {
     std::vector<bool> trap = seed_trap(protocol, b);
     const std::span<const Transition> transitions = protocol.transitions();
@@ -125,11 +109,10 @@ std::vector<bool> worklist_trap(const Protocol& protocol, int b) {
 
 }  // namespace
 
-std::vector<bool> compute_output_trap(const Protocol& protocol, int b, TrapCompute kind) {
+std::vector<bool> compute_output_trap(const Protocol& protocol, int b) {
     if (b != 0 && b != 1)
         throw std::invalid_argument("compute_output_trap: b must be 0 or 1");
-    return kind == TrapCompute::reference ? reference_trap(protocol, b)
-                                          : worklist_trap(protocol, b);
+    return worklist_trap(protocol, b);
 }
 
 }  // namespace ppsc

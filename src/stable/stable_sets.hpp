@@ -9,10 +9,10 @@
 // outputs ¬b } — one backward reachability from Bad_b per slice, then
 // complement.  Bad_b is seeded from the sparse support of each node (an
 // agent outside O⁻¹(b) is visible in the support), and the backward
-// reachability runs the ClosureCompute machinery of verify/reachability.hpp
-// — sparse reverse-CSR worklist by default, the seed-era dense formulation
-// as a swappable reference asserted identical in
-// tests/analysis_sparse_test.cpp.
+// reachability is verify/reachability.hpp's reverse-CSR worklist.  The
+// seed-era formulation (dense successor probing, vector-of-vectors reverse
+// BFS) is a test oracle in tests/reference/, asserted to classify every
+// configuration identically in tests/analysis_sparse_test.cpp.
 //
 // Lemma 3.1 says SC_b is downward closed; Lemma 3.2 says it has a basis
 // (B,S) — finitely many "seed plus pumpable directions" pieces — of norm at
@@ -64,16 +64,11 @@ class StableAnalysis {
 public:
     /// Validates the inputs; no slice is built until first use.  Queries
     /// throw std::length_error if a slice exceeds the node budget.
-    /// `compute` selects the closure machinery for every slice this
-    /// analysis builds: successor enumeration and backward closure both run
-    /// sparse (CSR) or both run the dense reference.
     StableAnalysis(const Protocol& protocol, AgentCount max_population,
-                   ReachabilityOptions options = {},
-                   ClosureCompute compute = ClosureCompute::sparse);
+                   ReachabilityOptions options = {});
 
     const Protocol& protocol() const noexcept { return protocol_; }
     AgentCount max_population() const noexcept { return max_population_; }
-    ClosureCompute compute() const noexcept { return compute_; }
 
     /// Stability of a configuration with 2 ≤ |C| ≤ max_population.
     /// Throws std::invalid_argument outside that range.
@@ -100,8 +95,11 @@ public:
     /// accepted as a pumpable direction of C if C + j·q stays b-stable for
     /// every j that keeps the size within max_population (at least
     /// `min_pump_margin` steps must be checkable).  Elements subsumed by
-    /// another element are dropped.  This is an under/over-approximation
-    /// pair discussed in DESIGN.md — exact bases need unbounded pumping.
+    /// another element are dropped.  The result approximates a Lemma 3.2
+    /// basis from both sides: a direction is checked only up to
+    /// max_population (it may fail beyond), and bases are drawn only from
+    /// populations ≤ max_population − min_pump_margin (larger basis
+    /// elements are missed) — exact bases need unbounded pumping.
     /// Forces all slices.
     std::vector<BasisElement> empirical_basis(int b, AgentCount min_pump_margin = 2) const;
 
@@ -116,7 +114,6 @@ private:
     Protocol protocol_;
     AgentCount max_population_;
     ReachabilityOptions options_;
-    ClosureCompute compute_;
     // Lazy caches, keyed by population size (see the class comment for the
     // memory bound).
     mutable std::map<AgentCount, ReachabilityGraph> slices_;

@@ -61,39 +61,25 @@ void ReachabilityGraph::close(const ReachabilityOptions& options, std::vector<No
         const NodeId node = frontier[processed++];
         const Config current = configs_[static_cast<std::size_t>(node)];  // copy: configs_ may grow
         out.clear();
-        const std::vector<StateId> support = current.support();
-        if (options.compute == ClosureCompute::sparse) {
-            // Walk the non-silent-pair CSR restricted to the support: every
-            // enabled pair with at least one rule is reached through the
-            // neighbour lists of its (occupied) endpoints, each unordered
-            // pair exactly once (self pairs via self_pair, non-self pairs
-            // from their lower endpoint).  Silent support pairs are never
-            // touched, so the cost is Σ_{q ∈ supp} deg(q) + rules fired,
-            // independent of the rule-table kind.
-            for (const StateId q : support) {
-                if (current[q] >= 2) {
-                    const Protocol::PairId self = protocol_->self_pair(q);
-                    if (self != Protocol::kNoPair) {
-                        for (const TransitionId rule : protocol_->rules_for_pair_id(self))
-                            fire_rule(current, node, rule, frontier);
-                    }
-                }
-                for (const Protocol::PairNeighbor& neighbor : protocol_->pair_neighbors(q)) {
-                    if (neighbor.partner < q || current[neighbor.partner] == 0) continue;
-                    for (const TransitionId rule : protocol_->rules_for_pair_id(neighbor.pair))
+        // Walk the non-silent-pair CSR restricted to the support: every
+        // enabled pair with at least one rule is reached through the
+        // neighbour lists of its (occupied) endpoints, each unordered pair
+        // exactly once (self pairs via self_pair, non-self pairs from their
+        // lower endpoint).  Silent support pairs are never touched, so the
+        // cost is Σ_{q ∈ supp} deg(q) + rules fired, independent of the
+        // rule-table kind.
+        for (const StateId q : current.support()) {
+            if (current[q] >= 2) {
+                const Protocol::PairId self = protocol_->self_pair(q);
+                if (self != Protocol::kNoPair) {
+                    for (const TransitionId rule : protocol_->rules_for_pair_id(self))
                         fire_rule(current, node, rule, frontier);
                 }
             }
-        } else {
-            // Reference: probe every support × support pair through the rule
-            // table (the seed formulation).
-            for (std::size_t i = 0; i < support.size(); ++i) {
-                for (std::size_t j = i; j < support.size(); ++j) {
-                    if (i == j && current[support[i]] < 2) continue;
-                    for (const TransitionId rule :
-                         protocol_->rules_for_pair(support[i], support[j]))
-                        fire_rule(current, node, rule, frontier);
-                }
+            for (const Protocol::PairNeighbor& neighbor : protocol_->pair_neighbors(q)) {
+                if (neighbor.partner < q || current[neighbor.partner] == 0) continue;
+                for (const TransitionId rule : protocol_->rules_for_pair_id(neighbor.pair))
+                    fire_rule(current, node, rule, frontier);
             }
         }
         std::sort(out.begin(), out.end());
@@ -235,6 +221,8 @@ ReachabilityGraph::SccResult ReachabilityGraph::compute_sccs() const {
 }
 
 std::vector<bool> ReachabilityGraph::forward_closure(NodeId start) const {
+    if (start < 0 || static_cast<std::size_t>(start) >= configs_.size())
+        throw std::out_of_range("ReachabilityGraph::forward_closure: start node out of range");
     std::vector<bool> visited(configs_.size(), false);
     std::deque<NodeId> queue{start};
     visited[static_cast<std::size_t>(start)] = true;
@@ -249,16 +237,6 @@ std::vector<bool> ReachabilityGraph::forward_closure(NodeId start) const {
         }
     }
     return visited;
-}
-
-void ReachabilityGraph::build_reverse_edges() const {
-    if (!reverse_adjacency_.empty() || configs_.empty()) return;
-    reverse_adjacency_.resize(configs_.size());
-    for (std::size_t node = 0; node < configs_.size(); ++node) {
-        for (const NodeId target : adjacency_[node])
-            reverse_adjacency_[static_cast<std::size_t>(target)].push_back(
-                static_cast<NodeId>(node));
-    }
 }
 
 void ReachabilityGraph::build_reverse_csr() const {
@@ -279,35 +257,13 @@ void ReachabilityGraph::build_reverse_csr() const {
     }
 }
 
-std::vector<bool> ReachabilityGraph::backward_closure(const std::vector<bool>& targets,
-                                                      ClosureCompute compute) const {
+std::vector<bool> ReachabilityGraph::backward_closure(const std::vector<bool>& targets) const {
     if (targets.size() != configs_.size())
         throw std::invalid_argument("ReachabilityGraph::backward_closure: size mismatch");
 
-    if (compute == ClosureCompute::reference) {
-        build_reverse_edges();
-        std::vector<bool> visited = targets;
-        std::deque<NodeId> queue;
-        for (std::size_t node = 0; node < targets.size(); ++node) {
-            if (targets[node]) queue.push_back(static_cast<NodeId>(node));
-        }
-        while (!queue.empty()) {
-            const NodeId node = queue.front();
-            queue.pop_front();
-            for (const NodeId prev : reverse_adjacency_[static_cast<std::size_t>(node)]) {
-                if (!visited[static_cast<std::size_t>(prev)]) {
-                    visited[static_cast<std::size_t>(prev)] = true;
-                    queue.push_back(prev);
-                }
-            }
-        }
-        return visited;
-    }
-
-    // Sparse: round-structured worklist over the flat reverse CSR, seeded
-    // from the target set (in stable-set use, Bad_b — itself seeded from
-    // sparse support scans).  Rounds are BFS levels; the closure is a set,
-    // so the result is identical to the reference BFS.
+    // Round-structured worklist over the flat reverse CSR, seeded from the
+    // target set (in stable-set use, Bad_b — itself seeded from sparse
+    // support scans).  Rounds are BFS levels.
     build_reverse_csr();
     std::vector<bool> visited = targets;
     std::vector<NodeId> round;

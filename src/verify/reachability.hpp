@@ -11,17 +11,15 @@
 // a bottom SCC, so "every fair execution from C stabilises to output b" is
 // exactly "every bottom SCC reachable from C is a b-consensus SCC".
 //
-// Sparse-native since PR 6: successor enumeration walks the protocol's
+// One path per operation: successor enumeration walks the protocol's
 // non-silent-pair CSR (`pair_neighbors`/`self_pair` restricted to the
-// configuration's support) instead of probing every support × support pair
-// through the rule table, and the backward closure runs a round-structured
-// worklist over a flat reverse-CSR of the graph instead of a
-// vector-of-vectors BFS.  Both ports keep the seed-era dense formulation as
-// a swappable reference (`ClosureCompute::reference`, mirroring
-// sim/traps.hpp's TrapCompute) and are asserted result-identical on
-// exhaustive small-protocol sweeps in tests/analysis_sparse_test.cpp —
-// closures are sets, so unlike the trap fixpoint no order-replay discipline
-// is needed, but the identity is asserted rather than argued all the same.
+// configuration's support), and the backward closure runs a
+// round-structured worklist over a flat reverse CSR of the graph.  The
+// seed-era formulations they replaced — probing every support × support
+// pair through the rule table, and a vector-of-vectors reverse BFS — are
+// test oracles in tests/reference/, and tests/analysis_sparse_test.cpp
+// asserts both operations equal to them on exhaustive small-protocol
+// sweeps, on explore() and full_slice() graphs alike.
 #pragma once
 
 #include <cstdint>
@@ -38,22 +36,11 @@ namespace ppsc {
 
 using NodeId = std::int32_t;
 
-/// Which formulation computes graph closures (successor enumeration and
-/// backward closure).  Both produce identical graphs and closure sets;
-/// `reference` is the seed-era dense formulation kept for equivalence tests,
-/// CI legs and benchmarks, `sparse` (the default) iterates the protocol/
-/// graph CSR structures only.
-enum class ClosureCompute { sparse, reference };
-
 struct ReachabilityOptions {
     /// Hard cap on the number of distinct configurations explored; larger
     /// graphs throw std::length_error (verification must never silently
     /// truncate — a wrong verdict is worse than no verdict).
     std::size_t max_nodes = 2'000'000;
-    /// How successors are enumerated while the graph is built: `sparse`
-    /// walks the non-silent neighbour CSR of each support state, `reference`
-    /// probes every support × support pair through the rule table.
-    ClosureCompute compute = ClosureCompute::sparse;
 };
 
 class ReachabilityGraph {
@@ -93,16 +80,13 @@ public:
     SccResult compute_sccs() const;
 
     /// All nodes reachable from `start` (forward BFS over the graph).
+    /// Throws std::out_of_range unless 0 ≤ start < num_nodes().
     std::vector<bool> forward_closure(NodeId start) const;
 
-    /// All nodes that can reach some node in `targets`.  `sparse` runs a
-    /// round-structured worklist over a lazily built flat reverse CSR
-    /// (offsets + one contiguous predecessor array); `reference` is the
-    /// seed-era vector-of-vectors reverse adjacency + deque BFS.  The
-    /// closure is a set, so both are exactly identical (asserted in
-    /// tests/analysis_sparse_test.cpp).
-    std::vector<bool> backward_closure(const std::vector<bool>& targets,
-                                       ClosureCompute compute = ClosureCompute::sparse) const;
+    /// All nodes that can reach some node in `targets`: a round-structured
+    /// worklist over a lazily built flat reverse CSR (offsets + one
+    /// contiguous predecessor array).
+    std::vector<bool> backward_closure(const std::vector<bool>& targets) const;
 
 private:
     ReachabilityGraph() = default;
@@ -110,7 +94,6 @@ private:
     NodeId intern(const Config& config, const ReachabilityOptions& options,
                   std::vector<NodeId>& frontier);
     void close(const ReachabilityOptions& options, std::vector<NodeId> frontier);
-    void build_reverse_edges() const;
     void build_reverse_csr() const;
 
     const Protocol* protocol_ = nullptr;
@@ -119,12 +102,10 @@ private:
     std::vector<std::vector<NodeId>> adjacency_;  // per-node successor lists
     std::vector<NodeId> roots_;
 
-    // Lazily built reverse edges, one per formulation: the reference keeps
-    // the seed-era vector-of-vectors, the sparse path a flat CSR
-    // (Θ(nodes + edges) in two contiguous arrays, no per-node allocation).
-    mutable std::vector<std::vector<NodeId>> reverse_adjacency_;  // reference
-    mutable std::vector<std::uint32_t> reverse_offsets_;          // sparse CSR
-    mutable std::vector<NodeId> reverse_targets_;                 // sparse CSR
+    // Lazily built reverse edges as a flat CSR (Θ(nodes + edges) in two
+    // contiguous arrays, no per-node allocation).
+    mutable std::vector<std::uint32_t> reverse_offsets_;
+    mutable std::vector<NodeId> reverse_targets_;
 };
 
 }  // namespace ppsc

@@ -1,22 +1,29 @@
-// Sparse ≡ reference identity for the analysis stack (PR 6).
+// Production ≡ oracle identity for the analysis stack.
 //
-// Every ported layer keeps its seed-era dense formulation as a swappable
-// reference (mirroring sim/traps.hpp's TrapCompute), and this file asserts
-// the two backends *agree* — exhaustively over small protocols, randomly
-// over larger ones, and on a hand-built graph whose backward closure has a
-// non-trivial BFS round structure.  Covered contracts:
+// libppsc has one path per analysis layer; the seed-era formulations it
+// replaced live in tests/reference/ as independent oracles, and this file
+// asserts the two *agree* — exhaustively over small protocols, randomly
+// over larger ones, on the paper's families, and on a hand-built graph
+// whose backward closure has a non-trivial BFS round structure.  Covered
+// contracts:
 //
-//   * ReachabilityGraph successor enumeration (ClosureCompute in explore /
-//     full_slice) — identical node sets, edges and SCC structure;
-//   * ReachabilityGraph::backward_closure — worklist vs reverse-BFS;
-//   * StableAnalysis — identical stable sets under either backend;
-//   * Verifier::infer_threshold — identical verdicts end to end, and the
+//   * ReachabilityGraph successor enumeration (CSR walk vs support ×
+//     support probing through rules_for_pair), on full_slice graphs and on
+//     explore graphs from IC(i) — compared per node as sets of successor
+//     configurations, so node numbering plays no part;
+//   * ReachabilityGraph::backward_closure — reverse-CSR worklist vs
+//     vector-of-vectors reverse BFS;
+//   * StableAnalysis — every configuration of every slice classified as
+//     the oracle classifies it;
+//   * Verifier::infer_threshold — its only input besides shared SCC code is
+//     the explore graphs from IC(2..max), which are checked above; the
 //     screening phase is sound: a refuted candidate's exact threshold is
 //     always nullopt;
-//   * hilbert_basis_equalities / realisable_multiset_basis — identical
-//     bases from the incremental-residual and recompute backends;
+//   * hilbert_basis_equalities / realisable_multiset_basis — identical bases
+//     from the incremental-residual completion with scatter rows and the
+//     recompute completion with the |Q|·|T| row scan;
 //   * bounds::stable_configuration_for_input — identical selections from
-//     the one-pass and per-component-rescan aggregations.
+//     the one-pass aggregation and the per-component rescan.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -28,6 +35,7 @@
 #include "diophantine/realisable.hpp"
 #include "protocols/double_exp_threshold.hpp"
 #include "protocols/threshold.hpp"
+#include "reference/reference.hpp"
 #include "stable/stable_sets.hpp"
 #include "support/rng.hpp"
 #include "verify/reachability.hpp"
@@ -36,107 +44,109 @@
 namespace ppsc {
 namespace {
 
-ReachabilityOptions with_compute(ClosureCompute compute) {
-    ReachabilityOptions options;
-    options.compute = compute;
-    return options;
-}
-
-/// Asserts the two successor-enumeration backends build the same graph.
-/// full_slice interns every configuration of the slice up front (in
-/// enumeration order) and close() sorts each node's out-list, so the two
-/// graphs must match node for node, edge for edge.
-void expect_slices_identical(const Protocol& protocol, AgentCount population,
-                             const std::string& what) {
-    const ReachabilityGraph sparse =
-        ReachabilityGraph::full_slice(protocol, population, with_compute(ClosureCompute::sparse));
-    const ReachabilityGraph reference = ReachabilityGraph::full_slice(
-        protocol, population, with_compute(ClosureCompute::reference));
-    ASSERT_EQ(sparse.num_nodes(), reference.num_nodes()) << what;
-    for (std::size_t node = 0; node < sparse.num_nodes(); ++node) {
-        const auto id = static_cast<NodeId>(node);
-        ASSERT_EQ(sparse.config(id), reference.config(id)) << what << ", node " << node;
-        const auto sparse_out = sparse.successors(id);
-        const auto reference_out = reference.successors(id);
-        ASSERT_EQ(std::vector<NodeId>(sparse_out.begin(), sparse_out.end()),
-                  std::vector<NodeId>(reference_out.begin(), reference_out.end()))
+/// Every node's successors, as configurations, equal the oracle's successor
+/// configurations of the node's configuration.
+void expect_successors_match_oracle(const ReachabilityGraph& graph, const std::string& what) {
+    for (std::size_t node = 0; node < graph.num_nodes(); ++node) {
+        const Config& config = graph.config(static_cast<NodeId>(node));
+        std::vector<Config> successors;
+        for (const NodeId next : graph.successors(static_cast<NodeId>(node)))
+            successors.push_back(graph.config(next));
+        std::sort(successors.begin(), successors.end(),
+                  [](const Config& a, const Config& b) { return a.counts() < b.counts(); });
+        ASSERT_EQ(successors, reference::successor_configs(graph.protocol(), config))
             << what << ", node " << node;
     }
+}
 
-    // Backward closures on the shared graph: seed from each output class
-    // (the stable-set use) and compare the worklist against the reference
-    // reverse-BFS.
+/// Backward closures seeded from each output class (the stable-set use),
+/// worklist against the oracle's reverse BFS on the same graph.
+void expect_closures_match_oracle(const ReachabilityGraph& graph, const std::string& what) {
+    const reference::ReverseEdges reverse = reference::reverse_edges(graph);
     for (int b = 0; b < 2; ++b) {
-        std::vector<bool> targets(sparse.num_nodes(), false);
-        for (std::size_t node = 0; node < sparse.num_nodes(); ++node)
-            targets[node] = sparse.protocol().consensus_output(
-                                sparse.config(static_cast<NodeId>(node))) == b;
-        EXPECT_EQ(sparse.backward_closure(targets, ClosureCompute::sparse),
-                  sparse.backward_closure(targets, ClosureCompute::reference))
+        std::vector<bool> targets(graph.num_nodes(), false);
+        for (std::size_t node = 0; node < graph.num_nodes(); ++node)
+            targets[node] = graph.protocol().consensus_output(
+                                graph.config(static_cast<NodeId>(node))) == b;
+        EXPECT_EQ(graph.backward_closure(targets), reference::backward_closure(reverse, targets))
             << what << ", b = " << b;
     }
 }
 
-void expect_layers_identical(const Protocol& protocol, AgentCount max_population,
-                             const std::string& what) {
-    expect_slices_identical(protocol, max_population, what);
+void expect_slice_matches_oracle(const Protocol& protocol, AgentCount population,
+                                 const std::string& what) {
+    const ReachabilityGraph slice = ReachabilityGraph::full_slice(protocol, population);
+    expect_successors_match_oracle(slice, what + ", slice " + std::to_string(population));
+    expect_closures_match_oracle(slice, what + ", slice " + std::to_string(population));
+}
 
-    // Stable sets: identical classifications under either backend.
-    const StableAnalysis sparse(protocol, max_population, {}, ClosureCompute::sparse);
-    const StableAnalysis reference(protocol, max_population, {}, ClosureCompute::reference);
+/// The explore graph from IC(input) — the graph Verifier and the pumping
+/// pipeline build — has the oracle's successors everywhere, so its node set
+/// is closed under them, and every node is reachable from the root.
+void expect_explore_matches_oracle(const Protocol& protocol, AgentCount input,
+                                   const std::string& what) {
+    const Config roots[] = {protocol.initial_config(input)};
+    const ReachabilityGraph graph = ReachabilityGraph::explore(protocol, roots);
+    const std::string where = what + ", IC(" + std::to_string(input) + ")";
+    expect_successors_match_oracle(graph, where);
+    const std::vector<bool> reached = graph.forward_closure(graph.roots()[0]);
+    EXPECT_EQ(std::count(reached.begin(), reached.end(), true),
+              static_cast<std::ptrdiff_t>(graph.num_nodes()))
+        << where;
+    expect_closures_match_oracle(graph, where);
+}
+
+void expect_stable_sets_match_oracle(const Protocol& protocol, AgentCount max_population,
+                                     const std::string& what) {
+    const StableAnalysis analysis(protocol, max_population);
     for (AgentCount population = 2; population <= max_population; ++population) {
-        for (int b = 0; b < 2; ++b) {
-            EXPECT_EQ(sparse.stable_configs(population, b),
-                      reference.stable_configs(population, b))
-                << what << ", population " << population << ", b = " << b;
+        for (const auto& [counts, flag] : reference::stability_flags(protocol, population)) {
+            EXPECT_EQ(analysis.stability(Config::from_counts(counts)), flag)
+                << what << ", population " << population;
         }
     }
+}
 
-    // End-to-end verdicts: the threshold inference must not depend on the
-    // backend that built its reachability graphs.
-    const Verifier sparse_verifier(protocol, with_compute(ClosureCompute::sparse));
-    const Verifier reference_verifier(protocol, with_compute(ClosureCompute::reference));
-    EXPECT_EQ(sparse_verifier.infer_threshold(max_population),
-              reference_verifier.infer_threshold(max_population))
-        << what;
+/// Incremental-residual completion and scatter row assembly against the
+/// recompute completion and row scan.  Both walk the identical frontier, so
+/// a budget abort (possible for the nastier random systems) must strike
+/// both or neither.
+void expect_realisable_basis_matches_oracle(const Protocol& protocol, const std::string& what) {
+    HilbertOptions options;
+    options.max_frontier = 200'000;
+    std::optional<RealisableBasis> production, oracle;
+    try {
+        production = realisable_multiset_basis(protocol, options);
+    } catch (const std::length_error&) {
+    }
+    try {
+        oracle = reference::realisable_multiset_basis(protocol, options);
+    } catch (const std::length_error&) {
+    }
+    ASSERT_EQ(production.has_value(), oracle.has_value()) << what;
+    if (production) {
+        EXPECT_EQ(production->elements, oracle->elements) << what;
+        EXPECT_EQ(production->inputs, oracle->inputs) << what;
+        EXPECT_EQ(production->results, oracle->results) << what;
+    }
+}
 
-    // Pumping's stable-configuration selection.
+void expect_layers_match_oracle(const Protocol& protocol, AgentCount max_population,
+                                const std::string& what) {
+    expect_slice_matches_oracle(protocol, max_population, what);
     for (AgentCount input = 2; input <= max_population; ++input) {
-        EXPECT_EQ(bounds::stable_configuration_for_input(protocol, input, {},
-                                                         ClosureCompute::sparse),
-                  bounds::stable_configuration_for_input(protocol, input, {},
-                                                         ClosureCompute::reference))
+        expect_explore_matches_oracle(protocol, input, what);
+        EXPECT_EQ(bounds::stable_configuration_for_input(protocol, input),
+                  reference::stable_configuration_for_input(protocol, input))
             << what << ", input " << input;
     }
-
-    // Diophantine: incremental-residual completion and scatter row assembly
-    // against the recompute-everything reference.  The backends walk the
-    // identical frontier, so a budget abort (possible for the nastier
-    // random systems) must also strike both or neither.
-    HilbertOptions sparse_hilbert, reference_hilbert;
-    sparse_hilbert.compute = HilbertCompute::sparse;
-    reference_hilbert.compute = HilbertCompute::reference;
-    sparse_hilbert.max_frontier = reference_hilbert.max_frontier = 200'000;
-    std::optional<RealisableBasis> basis_sparse, basis_reference;
-    try {
-        basis_sparse = realisable_multiset_basis(protocol, sparse_hilbert);
-    } catch (const std::length_error&) {
-    }
-    try {
-        basis_reference = realisable_multiset_basis(protocol, reference_hilbert);
-    } catch (const std::length_error&) {
-    }
-    ASSERT_EQ(basis_sparse.has_value(), basis_reference.has_value()) << what;
-    if (basis_sparse) {
-        EXPECT_EQ(basis_sparse->elements, basis_reference->elements) << what;
-        EXPECT_EQ(basis_sparse->inputs, basis_reference->inputs) << what;
-        EXPECT_EQ(basis_sparse->results, basis_reference->results) << what;
-    }
+    expect_stable_sets_match_oracle(protocol, max_population, what);
+    expect_realisable_basis_matches_oracle(protocol, what);
 }
 
 // Every protocol over 3 states with at most two non-silent transitions and
 // every output assignment — the same 3728-protocol space the trap sweep
-// covers, run through every ported layer.
+// covers, run through every analysis layer.
 TEST(AnalysisSparse, ExhaustiveThreeStateSweep) {
     struct Candidate {
         StateId p, q, p2, q2;
@@ -160,7 +170,7 @@ TEST(AnalysisSparse, ExhaustiveThreeStateSweep) {
             b.set_input("x", 0);
             for (const Candidate& t : transitions) b.add_transition(t.p, t.q, t.p2, t.q2);
             const Protocol protocol = std::move(b).build();
-            expect_layers_identical(protocol, 4, "outputs mask " + std::to_string(outputs));
+            expect_layers_match_oracle(protocol, 4, "outputs mask " + std::to_string(outputs));
             ++checked;
         }
     };
@@ -175,8 +185,8 @@ TEST(AnalysisSparse, ExhaustiveThreeStateSweep) {
 }
 
 // Randomised protocols over 5 states with up to 8 transitions: multi-rule
-// pairs, dead states, and graphs big enough that the sparse and reference
-// enumerations take genuinely different paths.
+// pairs, dead states, and graphs big enough that the CSR walk and the
+// oracle's support × support probing take genuinely different paths.
 TEST(AnalysisSparse, RandomisedFiveStateSweep) {
     Rng rng(0x7a9);
     for (int round = 0; round < 60; ++round) {
@@ -191,19 +201,49 @@ TEST(AnalysisSparse, RandomisedFiveStateSweep) {
                              static_cast<StateId>(rng.below(5)));
         }
         const Protocol protocol = std::move(b).build();
-        expect_layers_identical(protocol, 4, "random round " + std::to_string(round));
+        expect_layers_match_oracle(protocol, 4, "random round " + std::to_string(round));
     }
 }
 
-// The paper's families, where the sparse paths matter most.
+// The paper's families, where the CSR paths matter most.
 TEST(AnalysisSparse, FamiliesAgree) {
-    expect_slices_identical(protocols::unary_threshold(3), 5, "unary(3)");
-    expect_slices_identical(protocols::collector_threshold(5), 4, "collector(5)");
-    expect_slices_identical(protocols::double_exp_threshold(4), 4, "double_exp(4)");
-    expect_slices_identical(protocols::double_exp_threshold_dense(2), 4, "double_exp_dense(2)");
+    const Protocol unary = protocols::unary_threshold(3);
+    const Protocol collector = protocols::collector_threshold(5);
+    const Protocol double_exp = protocols::double_exp_threshold(4);
+    const Protocol dense = protocols::double_exp_threshold_dense(2);
+    expect_slice_matches_oracle(unary, 5, "unary(3)");
+    expect_slice_matches_oracle(collector, 4, "collector(5)");
+    expect_slice_matches_oracle(double_exp, 4, "double_exp(4)");
+    expect_slice_matches_oracle(dense, 4, "double_exp_dense(2)");
+    for (AgentCount input = 2; input <= 8; ++input) {
+        expect_explore_matches_oracle(unary, input, "unary(3)");
+        expect_explore_matches_oracle(collector, input, "collector(5)");
+        expect_explore_matches_oracle(double_exp, input, "double_exp(4)");
+        expect_explore_matches_oracle(dense, input, "double_exp_dense(2)");
+    }
+
+    // Verifier verdicts on unary(3) over inputs 2..8 (their explore graphs
+    // are checked above): the exact threshold, and the two-phase inference
+    // agreeing with it.
+    const Verifier verifier(unary);
+    EXPECT_EQ(verifier.infer_threshold(8), AgentCount{3});
+    ScreeningOptions screening;
+    screening.max_interactions = 4'000;
+    EXPECT_EQ(verifier.infer_threshold(8, screening), verifier.infer_threshold(8));
+
+    for (AgentCount input = 2; input <= 6; ++input) {
+        EXPECT_EQ(bounds::stable_configuration_for_input(unary, input),
+                  reference::stable_configuration_for_input(unary, input))
+            << "unary(3), input " << input;
+    }
+    const Protocol tower_base = protocols::double_exp_threshold(2);
+    expect_slice_matches_oracle(tower_base, 4, "double_exp(2)");
+    expect_stable_sets_match_oracle(tower_base, 4, "double_exp(2)");
+    expect_realisable_basis_matches_oracle(protocols::collector_threshold(2), "collector(2)");
+    expect_realisable_basis_matches_oracle(protocols::collector_threshold(3), "collector(3)");
 }
 
-// Regression pinning the round structure of the sparse backward closure:
+// Regression pinning the round structure of the worklist backward closure:
 // a three-level chain with a diamond.  The closure is a *set*, so unlike
 // the trap fixpoint no order discipline is needed — but the exact expected
 // sets are pinned here so a future worklist rewrite that drops nodes (e.g.
@@ -235,12 +275,11 @@ TEST(AnalysisSparse, BackwardClosureRegressionOnDiamondChain) {
 
     std::vector<bool> root_only(graph.num_nodes(), false);
     root_only[static_cast<std::size_t>(graph.roots()[0])] = true;
-    const auto from_root_sparse = graph.backward_closure(root_only, ClosureCompute::sparse);
-    const auto from_root_reference =
-        graph.backward_closure(root_only, ClosureCompute::reference);
-    EXPECT_EQ(from_root_sparse, from_root_reference);
+    const reference::ReverseEdges reverse = reference::reverse_edges(graph);
+    const auto from_root = graph.backward_closure(root_only);
+    EXPECT_EQ(from_root, reference::backward_closure(reverse, root_only));
     // The root has no predecessors: its backward closure is itself.
-    EXPECT_EQ(std::count(from_root_sparse.begin(), from_root_sparse.end(), true), 1);
+    EXPECT_EQ(std::count(from_root.begin(), from_root.end(), true), 1);
 
     // Seeding from every node with no successors (the sinks) must reach
     // every node: the graph is a finite DAG-plus-cycles where each node
@@ -248,8 +287,8 @@ TEST(AnalysisSparse, BackwardClosureRegressionOnDiamondChain) {
     std::vector<bool> sinks(graph.num_nodes(), false);
     for (std::size_t node = 0; node < graph.num_nodes(); ++node)
         sinks[node] = graph.successors(static_cast<NodeId>(node)).empty();
-    const auto from_sinks = graph.backward_closure(sinks, ClosureCompute::sparse);
-    EXPECT_EQ(from_sinks, graph.backward_closure(sinks, ClosureCompute::reference));
+    const auto from_sinks = graph.backward_closure(sinks);
+    EXPECT_EQ(from_sinks, reference::backward_closure(reverse, sinks));
     EXPECT_EQ(std::count(from_sinks.begin(), from_sinks.end(), true),
               static_cast<std::ptrdiff_t>(graph.num_nodes()));
 }
@@ -323,17 +362,14 @@ TEST(AnalysisSparse, ScreeningIsSoundOnExhaustiveThreeStateSweep) {
     EXPECT_GT(screened, 0u);
 }
 
-// Hilbert backends on raw systems (not just protocol-shaped ones),
-// including a system whose completion takes several frontier generations.
-TEST(AnalysisSparse, HilbertBackendsAgreeOnRawSystems) {
+// Hilbert completion against the recompute oracle on raw systems (not just
+// protocol-shaped ones), including a system whose completion takes several
+// frontier generations.
+TEST(AnalysisSparse, HilbertMatchesOracleOnRawSystems) {
     const auto both = [](const HomogeneousSystem& system) {
-        HilbertOptions sparse, reference;
-        sparse.compute = HilbertCompute::sparse;
-        reference.compute = HilbertCompute::reference;
-        EXPECT_EQ(hilbert_basis_equalities(system, sparse),
-                  hilbert_basis_equalities(system, reference));
-        EXPECT_EQ(generating_basis_inequalities(system, sparse),
-                  generating_basis_inequalities(system, reference));
+        EXPECT_EQ(hilbert_basis_equalities(system), reference::hilbert_basis_equalities(system));
+        EXPECT_EQ(generating_basis_inequalities(system),
+                  reference::generating_basis_inequalities(system));
     };
 
     // x = y.

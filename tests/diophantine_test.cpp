@@ -7,6 +7,7 @@
 #include "diophantine/pottier.hpp"
 #include "diophantine/realisable.hpp"
 #include "protocols/threshold.hpp"
+#include "reference/reference.hpp"
 
 namespace ppsc {
 namespace {
@@ -75,7 +76,7 @@ TEST(HilbertBasis, MatchesBruteForceOnRandomSmallSystems) {
     };
     for (const auto& system : systems) {
         auto fast = hilbert_basis_equalities(system);
-        auto slow = brute_force_minimal_equalities(system, 6);
+        auto slow = reference::brute_force_minimal_equalities(system, 6);
         std::sort(fast.begin(), fast.end());
         std::sort(slow.begin(), slow.end());
         // Oracle only sees solutions with ∥y∥∞ ≤ 6; every oracle solution
@@ -100,9 +101,9 @@ TEST(HilbertBasis, ElementsRespectPottierBound) {
     }
 }
 
-TEST(HilbertBasis, ReferenceBackendMatchesOnClassicExamples) {
-    // The incremental-residual backend (the default) against the seed-era
-    // recompute-everything formulation; the deep sweeps live in
+TEST(HilbertBasis, MatchesRecomputeOracleOnClassicExamples) {
+    // The incremental-residual completion against the seed-era
+    // recompute-everything oracle; the deep sweeps live in
     // analysis_sparse_test.cpp.
     const std::vector<HomogeneousSystem> systems = {
         {2, {{2, -3}}},
@@ -110,11 +111,9 @@ TEST(HilbertBasis, ReferenceBackendMatchesOnClassicExamples) {
         {4, {{1, -1, 2, -2}, {0, 1, -1, 0}}},
     };
     for (const auto& system : systems) {
-        HilbertOptions reference;
-        reference.compute = HilbertCompute::reference;
-        EXPECT_EQ(hilbert_basis_equalities(system), hilbert_basis_equalities(system, reference));
+        EXPECT_EQ(hilbert_basis_equalities(system), reference::hilbert_basis_equalities(system));
         EXPECT_EQ(generating_basis_inequalities(system),
-                  generating_basis_inequalities(system, reference));
+                  reference::generating_basis_inequalities(system));
     }
 }
 

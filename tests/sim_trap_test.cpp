@@ -1,6 +1,7 @@
 // Stable-consensus detection: the worklist trap fixpoint must be
-// *identical* (not merely equally sound) to the reference pass structure —
-// the evict-both-pre-states rule is scan-order dependent, so this is a real
+// *identical* (not merely equally sound) to the pass structure of the
+// reference::output_trap oracle (tests/reference/) — the
+// evict-both-pre-states rule is scan-order dependent, so this is a real
 // contract, asserted exhaustively on small protocols and on the E11 family
 // — and the incremental per-trap outside-support counters behind the O(1)
 // stability probes must agree with the from-scratch probe after arbitrarily
@@ -9,11 +10,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <vector>
 
 #include "protocols/double_exp_threshold.hpp"
 #include "protocols/threshold.hpp"
+#include "reference/reference.hpp"
 #include "sim/simulator.hpp"
 #include "support/rng.hpp"
 
@@ -22,10 +25,8 @@ namespace {
 
 void expect_traps_identical(const Protocol& protocol, const std::string& what) {
     for (int b = 0; b < 2; ++b) {
-        const std::vector<bool> worklist = compute_output_trap(protocol, b, TrapCompute::worklist);
-        const std::vector<bool> reference =
-            compute_output_trap(protocol, b, TrapCompute::reference);
-        EXPECT_EQ(worklist, reference) << what << ", b = " << b;
+        EXPECT_EQ(compute_output_trap(protocol, b), reference::output_trap(protocol, b))
+            << what << ", b = " << b;
     }
 }
 
@@ -33,7 +34,7 @@ void expect_traps_identical(const Protocol& protocol, const std::string& what) {
 // every output assignment: 3728 protocols, including zero-non-silent-pair
 // ones (the empty transition set) and multi-rule nondeterministic pairs
 // (two transitions sharing a pre-pair).
-TEST(TrapCompute, ExhaustiveThreeStateSweep) {
+TEST(OutputTrap, ExhaustiveThreeStateSweep) {
     struct Candidate {
         StateId p, q, p2, q2;
     };
@@ -72,10 +73,10 @@ TEST(TrapCompute, ExhaustiveThreeStateSweep) {
 
 // Regression pinning the determinism contract: the fixpoint genuinely
 // depends on the processing order.  A worklist that re-examined freshly
-// triggered transitions immediately (plain pop-min, ignoring the
-// reference's pass structure) would evict {x, y, z} here; the reference's
-// full ascending passes evict {x, y, w}.
-TEST(TrapCompute, ScanOrderDependenceFollowsReference) {
+// triggered transitions immediately (plain pop-min, ignoring the pass
+// structure) would evict {x, y, z} here; full ascending passes evict
+// {x, y, w}.
+TEST(OutputTrap, ScanOrderDependenceFollowsPassStructure) {
     ProtocolBuilder b;
     const StateId x = b.add_state("x", 0);
     const StateId y = b.add_state("y", 0);
@@ -88,7 +89,7 @@ TEST(TrapCompute, ScanOrderDependenceFollowsReference) {
     b.add_transition(y, w, v, v);  // t2: evicts y and w in the same pass
     const Protocol protocol = std::move(b).build();
 
-    const std::vector<bool> trap = compute_output_trap(protocol, 0, TrapCompute::worklist);
+    const std::vector<bool> trap = compute_output_trap(protocol, 0);
     EXPECT_FALSE(trap[static_cast<std::size_t>(x)]);
     EXPECT_FALSE(trap[static_cast<std::size_t>(y)]);
     EXPECT_FALSE(trap[static_cast<std::size_t>(w)]);
@@ -98,9 +99,34 @@ TEST(TrapCompute, ScanOrderDependenceFollowsReference) {
     expect_traps_identical(protocol, "scan-order regression");
 }
 
+// Regression pinning the mid-round re-queue: an eviction that enables a
+// transition *later in the same pass* must be examined in that pass, as
+// the full passes do.  Pass 1 evicts d (t3).  Pass 2 evicts c at t0,
+// which enables t1 ahead of the scan: t1 evicts a and b.  A worklist that
+// deferred t1 to the next round would let t2 evict b first, leaving t1
+// disabled and a wrongly inside the trap.
+TEST(OutputTrap, MidRoundRequeueFollowsPassStructure) {
+    ProtocolBuilder builder;
+    const StateId v = builder.add_state("v", 1);
+    const StateId a = builder.add_state("a", 0);
+    const StateId c = builder.add_state("c", 0);
+    const StateId b = builder.add_state("b", 0);
+    const StateId d = builder.add_state("d", 0);
+    builder.set_input("in", v);
+    builder.add_transition(c, c, c, d);  // t0: violated once d is out
+    builder.add_transition(a, b, a, c);  // t1: violated once c is out
+    builder.add_transition(b, b, c, d);  // t2: violated once c or d is out
+    builder.add_transition(d, d, v, d);  // t3: evicts d (v is outside the 0-trap)
+    const Protocol protocol = std::move(builder).build();
+
+    const std::vector<bool> trap = compute_output_trap(protocol, 0);
+    EXPECT_EQ(std::count(trap.begin(), trap.end(), true), 0);
+    expect_traps_identical(protocol, "mid-round re-queue regression");
+}
+
 // Randomised protocols over 5 states with up to 8 transitions: plenty of
 // multi-rule pairs, chained evictions and dead states.
-TEST(TrapCompute, RandomisedFiveStateSweep) {
+TEST(OutputTrap, RandomisedFiveStateSweep) {
     Rng rng(0x7a9);
     for (int round = 0; round < 400; ++round) {
         ProtocolBuilder b;
@@ -119,24 +145,20 @@ TEST(TrapCompute, RandomisedFiveStateSweep) {
 }
 
 // The E11 family itself, plus the threshold workhorse and a simulator-level
-// equality check (a Simulator seeded with either algorithm must expose the
-// same traps and therefore the same trajectories and verdicts).
-TEST(TrapCompute, FamiliesAndSimulatorAgree) {
+// check: a Simulator's traps — the only input its stability detection takes
+// from the fixpoint — are the oracle's.
+TEST(OutputTrap, FamiliesAndSimulatorAgree) {
+    expect_traps_identical(protocols::double_exp_threshold(3), "double_exp(3)");
     expect_traps_identical(protocols::double_exp_threshold(6), "double_exp(6)");
     expect_traps_identical(protocols::double_exp_threshold_dense(3), "double_exp_dense(3)");
     expect_traps_identical(protocols::collector_threshold(17), "collector(17)");
 
-    const Protocol p = protocols::double_exp_threshold(5);
-    const Simulator worklist(p, PairSelect::automatic, TrapCompute::worklist);
-    const Simulator reference(p, PairSelect::automatic, TrapCompute::reference);
-    for (int b = 0; b < 2; ++b) EXPECT_EQ(worklist.output_trap(b), reference.output_trap(b));
-
-    Rng rng_w(123), rng_r(123);
-    const SimulationResult a = worklist.run_input(40, rng_w);
-    const SimulationResult c = reference.run_input(40, rng_r);
-    EXPECT_EQ(a.interactions, c.interactions);
-    EXPECT_EQ(a.final_config, c.final_config);
-    EXPECT_EQ(a.converged, c.converged);
+    for (const int n : {3, 5}) {
+        const Protocol p = protocols::double_exp_threshold(n);
+        const Simulator simulator(p);
+        for (int b = 0; b < 2; ++b)
+            EXPECT_EQ(simulator.output_trap(b), reference::output_trap(p, b)) << "n = " << n;
+    }
 }
 
 TEST(TransitionIncidence, ListsProducersAscendingAndDeduped) {

@@ -5,6 +5,7 @@
 
 #include "protocols/majority.hpp"
 #include "protocols/threshold.hpp"
+#include "reference/reference.hpp"
 
 namespace ppsc {
 namespace {
@@ -92,17 +93,13 @@ TEST(StableAnalysis, BasisNormsAreTinyComparedToBeta) {
     }
 }
 
-TEST(StableAnalysis, ReferenceBackendClassifiesIdentically) {
+TEST(StableAnalysis, ClassifiesLikeTheOracle) {
     const Protocol p = protocols::collector_threshold(3);
-    const StableAnalysis sparse(p, 4);
-    const StableAnalysis reference(p, 4, {}, ClosureCompute::reference);
-    EXPECT_EQ(sparse.compute(), ClosureCompute::sparse);
-    EXPECT_EQ(reference.compute(), ClosureCompute::reference);
+    const StableAnalysis analysis(p, 4);
     for (AgentCount population = 2; population <= 4; ++population) {
-        for (int b = 0; b < 2; ++b) {
-            EXPECT_EQ(sparse.stable_configs(population, b),
-                      reference.stable_configs(population, b))
-                << "population " << population << ", b = " << b;
+        for (const auto& [counts, flag] : reference::stability_flags(p, population)) {
+            EXPECT_EQ(analysis.stability(Config::from_counts(counts)), flag)
+                << "population " << population;
         }
     }
 }

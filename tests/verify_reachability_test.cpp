@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "protocols/threshold.hpp"
+#include "reference/reference.hpp"
 
 namespace ppsc {
 namespace {
@@ -118,20 +119,30 @@ TEST(ReachabilityGraph, ForwardAndBackwardClosures) {
     EXPECT_EQ(std::count(backward.begin(), backward.end(), true), 3);
 }
 
-TEST(ReachabilityGraph, ComputeModesAgreeOnClosures) {
+TEST(ReachabilityGraph, ClosuresMatchTheOracle) {
     const Protocol p = protocols::unary_threshold(2);
-    ReachabilityOptions reference;
-    reference.compute = ClosureCompute::reference;
-    const ReachabilityGraph sparse = ReachabilityGraph::full_slice(p, 4, {});
-    const ReachabilityGraph dense = ReachabilityGraph::full_slice(p, 4, reference);
-    ASSERT_EQ(sparse.num_nodes(), dense.num_nodes());
-    EXPECT_EQ(sparse.num_edges(), dense.num_edges());
+    const ReachabilityGraph graph = ReachabilityGraph::full_slice(p, 4, {});
+    std::size_t oracle_edges = 0;
+    for (std::size_t node = 0; node < graph.num_nodes(); ++node) {
+        const Config& config = graph.config(static_cast<NodeId>(node));
+        oracle_edges += reference::successor_configs(p, config).size();
+    }
+    EXPECT_EQ(graph.num_edges(), oracle_edges);
 
-    std::vector<bool> targets(sparse.num_nodes(), false);
+    std::vector<bool> targets(graph.num_nodes(), false);
     targets[0] = true;
-    targets[sparse.num_nodes() / 2] = true;
-    EXPECT_EQ(sparse.backward_closure(targets, ClosureCompute::sparse),
-              sparse.backward_closure(targets, ClosureCompute::reference));
+    targets[graph.num_nodes() / 2] = true;
+    EXPECT_EQ(graph.backward_closure(targets),
+              reference::backward_closure(reference::reverse_edges(graph), targets));
+}
+
+TEST(ReachabilityGraph, ForwardClosureRejectsOutOfRangeStart) {
+    const Protocol p = protocols::unary_threshold(2);
+    const ReachabilityGraph graph = ReachabilityGraph::full_slice(p, 3, {});
+    EXPECT_THROW(graph.forward_closure(-1), std::out_of_range);
+    EXPECT_THROW(graph.forward_closure(static_cast<NodeId>(graph.num_nodes())), std::out_of_range);
+    const std::vector<bool> last = graph.forward_closure(static_cast<NodeId>(graph.num_nodes() - 1));
+    EXPECT_TRUE(last.back());
 }
 
 TEST(ReachabilityGraph, NodeBudgetThrowsInsteadOfTruncating) {
