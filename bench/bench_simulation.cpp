@@ -20,31 +20,20 @@
 //   --e11-smoke    runs only a tiny E11 workload end to end (family
 //                  correctness in randomized simulation, both fired-step
 //                  selection paths, and the forced-sparse rule table) and
-//                  exits non-zero on failure — the CI smoke entry point;
-//   --epoch-smoke  deterministic statistical checks of the epoch-batched
-//                  stepping mode (sampler moments, multinomial GOF, epoch
-//                  vs per-step convergence, fired accounting) — the CI
-//                  entry point for engine idea 5, run on every matrix leg;
-//   --analyze-smoke  the static analyzer (analyze/) over every registered
-//                  protocol family: certificates checker-verified, round-
-//                  tripped, and no findings on known-good protocols — the
-//                  CI entry point for ppsc-analyze, run on every matrix leg.
+//                  exits non-zero on failure — the CI smoke entry point
+//                  (its job builds with tests off, so it cannot live in
+//                  ctest).
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <map>
-#include <span>
 #include <vector>
 
 #include "analyze/analyze.hpp"
-#include "analyze/checker.hpp"
 #include "diophantine/realisable.hpp"
 #include "protocols/double_exp_threshold.hpp"
-#include "protocols/families.hpp"
 #include "protocols/threshold.hpp"
 #include "reference/reference.hpp"
 #include "search/busy_beaver.hpp"
@@ -53,8 +42,6 @@
 #include "sim/simulator.hpp"
 #include "sim/traps.hpp"
 #include "stable/stable_sets.hpp"
-#include "support/fenwick.hpp"
-#include "support/stat_test.hpp"
 #include "verify/verifier.hpp"
 
 using namespace ppsc;
@@ -66,34 +53,43 @@ namespace {
 // along the exact scheduler-chain distribution.  When a trajectory reaches
 // silence the configuration restarts from IC, so the benchmark measures
 // sustained full-trajectory throughput.
+std::uint64_t batched_throughput(benchmark::State& state, const Simulator& simulator,
+                                 const Protocol& protocol, AgentCount population, Rng& rng) {
+    Trajectory trajectory(simulator, protocol.initial_config(population));
+    RunOptions run;
+    run.budget = 1 << 14;
+    std::uint64_t executed = 0;
+    for (auto _ : state) {
+        const RunReport report = simulator.advance(trajectory, rng, run);
+        executed += report.interactions;
+        if (report.stop == StopReason::silent)
+            trajectory = Trajectory(simulator, protocol.initial_config(population));
+        benchmark::DoNotOptimize(report);
+    }
+    return executed;
+}
+
 void BM_SimulatorStep(benchmark::State& state) {
     const Protocol protocol = protocols::collector_threshold(1 << 20);
     const Simulator simulator(protocol);
     const auto population = static_cast<AgentCount>(state.range(0));
-    Config config = protocol.initial_config(population);
     Rng rng(11);
-    constexpr std::uint64_t kBatch = 1 << 14;
-    std::uint64_t executed = 0;
-    for (auto _ : state) {
-        const std::uint64_t done = simulator.run_batch(config, rng, kBatch);
-        executed += done;
-        if (done < kBatch) config = protocol.initial_config(population);  // went silent
-        benchmark::DoNotOptimize(config);
-    }
+    const std::uint64_t executed = batched_throughput(state, simulator, protocol, population, rng);
     state.SetItemsProcessed(static_cast<std::int64_t>(executed));
 }
 BENCHMARK(BM_SimulatorStep)->Arg(1 << 10)->Arg(1 << 14)->Arg(1 << 18);
 
-// The per-call single-step API (one interaction per call, cached Fenwick
-// sampler) — the seed's original benchmark, kept for regression tracking.
+// The per-encounter single-step API (one interaction per call on one
+// Trajectory) — the seed's original benchmark, kept for regression tracking.
 void BM_SimulatorSingleStep(benchmark::State& state) {
     const Protocol protocol = protocols::collector_threshold(1 << 20);
     const Simulator simulator(protocol);
-    Config config = protocol.initial_config(static_cast<AgentCount>(state.range(0)));
+    Trajectory trajectory(simulator,
+                          protocol.initial_config(static_cast<AgentCount>(state.range(0))));
     Rng rng(11);
     for (auto _ : state) {
-        simulator.step(config, rng);
-        benchmark::DoNotOptimize(config);
+        const auto fired = simulator.step(trajectory, rng);
+        benchmark::DoNotOptimize(fired);
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
@@ -158,16 +154,8 @@ void BM_E11MergePhase(benchmark::State& state) {
     const auto population = static_cast<AgentCount>(state.range(1));
     const Protocol& protocol = e11_dense_protocol(n);
     const Simulator simulator(protocol);
-    Config config = protocol.initial_config(population);
     Rng rng(7);
-    constexpr std::uint64_t kBatch = 1 << 14;
-    std::uint64_t executed = 0;
-    for (auto _ : state) {
-        const std::uint64_t done = simulator.run_batch(config, rng, kBatch);
-        executed += done;
-        if (done < kBatch) config = protocol.initial_config(population);  // went silent
-        benchmark::DoNotOptimize(config);
-    }
+    const std::uint64_t executed = batched_throughput(state, simulator, protocol, population, rng);
     state.SetItemsProcessed(static_cast<std::int64_t>(executed));
 }
 BENCHMARK(BM_E11MergePhase)->Args({8, 1 << 12})->Args({10, 1 << 14});
@@ -189,17 +177,17 @@ void e11_fired_step_bench(benchmark::State& state, const Protocol& protocol,
         config.set(t0, stragglers);
         return config;
     };
-    Config config = make_config();
+    Trajectory trajectory(simulator, make_config());
     Rng rng(29);
     std::uint64_t fired = 0;
     for (auto _ : state) {
-        const auto transition = simulator.fired_step(config, rng, std::uint64_t{1} << 40);
+        const auto transition = simulator.fired_step(trajectory, rng, std::uint64_t{1} << 40);
         if (transition) {
             ++fired;
         } else {
-            config = make_config();  // epidemic finished: all agents in T
+            trajectory = Trajectory(simulator, make_config());  // epidemic finished: all in T
         }
-        benchmark::DoNotOptimize(config);
+        benchmark::DoNotOptimize(transition);
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(fired));
 }
@@ -237,20 +225,20 @@ void e11_fired_throughput_bench(benchmark::State& state, StepMode mode) {
     const AgentCount population = AgentCount{1} << static_cast<int>(state.range(1));
     const Protocol& protocol = e11_flagship_protocol(n);
     const Simulator simulator(protocol, PairSelect::fenwick);
-    Config config = protocol.initial_config(population);
+    Trajectory trajectory(simulator, protocol.initial_config(population));
     Rng rng(7);
     // Interactions (fired + skipped) per call; epoch calls cover it in a
     // handful of multinomial draws, per-step calls one firing at a time.
-    const std::uint64_t batch = mode == StepMode::epoch ? std::uint64_t{1} << 26
-                                                        : std::uint64_t{1} << 20;
+    RunOptions run;
+    run.budget = mode == StepMode::epoch ? std::uint64_t{1} << 26 : std::uint64_t{1} << 20;
+    run.step_mode = mode;
     std::uint64_t fired_total = 0;
     for (auto _ : state) {
-        std::uint64_t fired_call = 0;
-        const std::uint64_t done =
-            simulator.run_batch(config, rng, batch, false, nullptr, &fired_call, mode);
-        fired_total += fired_call;
-        if (done < batch) config = protocol.initial_config(population);  // went silent
-        benchmark::DoNotOptimize(config);
+        const RunReport report = simulator.advance(trajectory, rng, run);
+        fired_total += report.fired;
+        if (report.stop == StopReason::silent)
+            trajectory = Trajectory(simulator, protocol.initial_config(population));
+        benchmark::DoNotOptimize(report);
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(fired_total));
     state.SetLabel(mode == StepMode::epoch ? "fired/s, epoch" : "fired/s, per-step");
@@ -271,16 +259,8 @@ void BM_E11SparseMergePhase(benchmark::State& state) {
     const auto population = static_cast<AgentCount>(state.range(1));
     const Protocol& protocol = e11_flagship_protocol(n);
     const Simulator simulator(protocol);
-    Config config = protocol.initial_config(population);
     Rng rng(7);
-    constexpr std::uint64_t kBatch = 1 << 14;
-    std::uint64_t executed = 0;
-    for (auto _ : state) {
-        const std::uint64_t done = simulator.run_batch(config, rng, kBatch);
-        executed += done;
-        if (done < kBatch) config = protocol.initial_config(population);  // went silent
-        benchmark::DoNotOptimize(config);
-    }
+    const std::uint64_t executed = batched_throughput(state, simulator, protocol, population, rng);
     state.SetItemsProcessed(static_cast<std::int64_t>(executed));
 }
 BENCHMARK(BM_E11SparseMergePhase)->Args({13, 1 << 14});
@@ -353,34 +333,40 @@ void BM_E11MergePhaseCheckpointed(benchmark::State& state) {
     const Simulator simulator(protocol);
     CheckpointDir dir("bench-checkpoints.tmp", 2);
     const std::uint64_t fingerprint = protocol_fingerprint(protocol);
-    Config config = protocol.initial_config(population);
+    // Counters carry over IC restarts, so ticks are absolute totals.
+    Trajectory trajectory(simulator, protocol.initial_config(population));
     Rng rng(7);
-    std::uint64_t executed = 0;
     CheckpointHook hook;
     hook.callback = [&](const CheckpointTick& tick) {
         Checkpoint ck;
         ck.fingerprint = fingerprint;
         ck.config = tick.config;
         ck.rng_state = tick.rng_state;
-        ck.interactions = executed + tick.interactions;
+        ck.interactions = tick.interactions;
         ck.fired = tick.fired;
         dir.write(ck);
         return true;
     };
     constexpr std::uint64_t kBatch = 1 << 14;
     constexpr std::uint64_t kCadence = 100'000'000;
+    RunOptions run;
+    run.budget = kBatch;
+    run.hook = &hook;
     for (auto _ : state) {
         // Cadence marks are absolute; the per-call `every` is the distance
         // to the next mark (or out of reach, keeping only the per-step
         // hook branch in play — exactly what a long-lived call sees).
+        const std::uint64_t executed = trajectory.interactions();
         const std::uint64_t mark = (executed / kCadence + 1) * kCadence;
         hook.every = mark - executed <= kBatch ? mark - executed : kBatch + 1;
-        const std::uint64_t done = simulator.run_batch(config, rng, kBatch, false, &hook);
-        executed += done;
-        if (done < kBatch) config = protocol.initial_config(population);  // went silent
-        benchmark::DoNotOptimize(config);
+        const RunReport report = simulator.advance(trajectory, rng, run);
+        if (report.stop == StopReason::silent) {
+            trajectory = Trajectory(simulator, protocol.initial_config(population),
+                                    trajectory.interactions(), trajectory.fired());
+        }
+        benchmark::DoNotOptimize(report);
     }
-    state.SetItemsProcessed(static_cast<std::int64_t>(executed));
+    state.SetItemsProcessed(static_cast<std::int64_t>(trajectory.interactions()));
     std::filesystem::remove_all("bench-checkpoints.tmp");
 }
 BENCHMARK(BM_E11MergePhaseCheckpointed)->Args({13, 1 << 14});
@@ -415,11 +401,10 @@ BENCHMARK(BM_ComputeOutputTrapsWorklist)->Arg(10)->Arg(13)->Arg(17)->Unit(benchm
 BENCHMARK(BM_ComputeOutputTrapsReference)->Arg(10)->Arg(13)->Unit(benchmark::kMillisecond);
 
 // Stability probes on a wide-support flagship configuration (tokens spread
-// over every level).  `warm` probes the configuration the cached step
-// context owns — the O(1) counter read run()/run_batch() use after every
-// fired interaction; `cold` forces the cache miss and measures the
-// from-scratch probe (support scan + silence rescan) that every probe used
-// to pay.
+// over every level).  `warm` is Trajectory::provably_stable() — the O(1)
+// counter read advance() uses after every fired interaction; `cold` is
+// Simulator::is_provably_stable(Config), the from-scratch probe (support
+// scan + silence rescan) that every probe used to pay.
 void stability_probe_bench(benchmark::State& state, bool warm) {
     const Protocol& protocol = e11_flagship_protocol(13);
     const Simulator simulator(protocol);
@@ -427,14 +412,10 @@ void stability_probe_bench(benchmark::State& state, bool warm) {
     const StateId t0 = protocol.input_state(0);
     for (std::uint64_t level = 0; level < (1u << 13); level += 2)
         config.add(t0 + static_cast<StateId>(level), 1);
-    Rng rng(5);
-    // A zero-budget batch adopts `config` into the sampler cache without
-    // executing an interaction.
-    simulator.run_batch(config, rng, 0);
-    const Config cold_copy = config;  // different object: never cached
-    const Config& probed = warm ? config : cold_copy;
+    const Trajectory trajectory(simulator, config);
     for (auto _ : state) {
-        const bool stable = simulator.is_provably_stable(probed);
+        const bool stable =
+            warm ? trajectory.provably_stable() : simulator.is_provably_stable(config);
         benchmark::DoNotOptimize(stable);
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
@@ -726,147 +707,11 @@ int run_e11_smoke() {
     return ok ? 0 : 1;
 }
 
-// Epoch-stepping smoke: deterministic statistical checks of the epoch-
-// batched engine (engine idea 5) fast enough for every CI leg, sanitizers
-// included.  Fixed seeds throughout — a failure is a regression, not noise.
-int run_epoch_smoke() {
-    bool ok = true;
-    const auto check = [&ok](bool condition, const char* what) {
-        std::printf("  %-60s %s\n", what, condition ? "ok" : "FAIL");
-        ok = ok && condition;
-    };
-
-    std::printf("epoch smoke: conditional-binomial samplers against exact moments\n");
-    {
-        // Binomial via both algorithms (inversion and BTRS) and the Fenwick
-        // multinomial decomposition built on them: sample means within 5
-        // standard errors of the exact law at fixed seeds.
-        Rng rng(stat::derive_seed(0xE90C, "samplers"));
-        const int reps = 4'000;
-        double small_sum = 0.0, large_sum = 0.0;
-        for (int r = 0; r < reps; ++r) {
-            small_sum += static_cast<double>(rng.binomial(40, 0.2));        // inversion
-            large_sum += static_cast<double>(rng.binomial(100'000, 0.37));  // BTRS
-        }
-        const auto within = [&](double sum, double n, double p) {
-            const double se = std::sqrt(n * p * (1 - p) / reps);
-            return std::abs(sum / reps - n * p) < 5.0 * se;
-        };
-        check(within(small_sum, 40, 0.2), "binomial inversion mean within 5 SE");
-        check(within(large_sum, 100'000, 0.37), "binomial BTRS mean within 5 SE");
-
-        const std::vector<std::int64_t> weights = {60, 30, 90, 20, 50};
-        const FenwickTree tree{std::span<const std::int64_t>(weights)};
-        std::vector<std::uint64_t> counts(5, 0);
-        tree.multinomial(200'000, rng,
-                         [&](std::size_t index, std::uint64_t c) { counts[index] += c; });
-        std::uint64_t total = 0;
-        for (const std::uint64_t c : counts) total += c;
-        check(total == 200'000, "multinomial split conserves the draw count");
-        const std::vector<double> expected(weights.begin(), weights.end());
-        const stat::GofResult gof = stat::chi_squared_gof(counts, expected);
-        check(gof.pass, "multinomial split passes chi-squared GOF");
-    }
-
-    std::printf("epoch smoke: epoch vs per-step on double_exp_threshold(2)\n");
-    {
-        const Protocol p = protocols::double_exp_threshold(2);
-        const Simulator sim(p, PairSelect::fenwick);
-        sim.reset_epoch_stats();
-        const int runs = 60;
-        double mean[2] = {0.0, 0.0};
-        bool converged_ok = true, verdict_ok = true;
-        for (int mode = 0; mode < 2; ++mode) {
-            Rng rng(stat::derive_seed(0xE90C, mode == 0 ? "ref" : "epoch"));
-            for (int r = 0; r < runs; ++r) {
-                SimulationOptions options;
-                options.max_interactions = std::uint64_t{1} << 32;
-                options.step_mode = mode == 0 ? StepMode::per_step : StepMode::epoch;
-                options.epoch.min_firings = 8;
-                const SimulationResult result = sim.run(p.initial_config(4096), rng, options);
-                converged_ok = converged_ok && result.converged;
-                verdict_ok = verdict_ok && result.output == 1;  // 4096 >= eta = 16
-                mean[mode] += static_cast<double>(result.interactions) / runs;
-            }
-        }
-        check(converged_ok, "all runs converge in both modes");
-        check(verdict_ok, "all runs reach the correct consensus");
-        // Distribution-level agreement: the two sample means differ by a few
-        // percent at these sample sizes; 15% catches a wrong epoch law
-        // without flaking (cf. BatchedRun tests, same tolerance rationale).
-        check(std::abs(mean[1] / mean[0] - 1.0) < 0.15,
-              "mean interactions to convergence within 15% of reference");
-        const EpochStats stats = sim.epoch_stats();
-        check(stats.epochs > 0 && stats.epoch_fired > stats.fallback_fired,
-              "epoch path served the bulk of the fired interactions");
-    }
-
-    std::printf("epoch smoke: e11 sweep rows under epoch stepping\n");
-    {
-        E11Options tiny;
-        tiny.tower_ns = {4};
-        tiny.populations = {1 << 16};
-        tiny.interactions_per_row = 1 << 20;
-        tiny.step_mode = StepMode::epoch;
-        const auto rows = e11_throughput_sweep(tiny);
-        bool complete = !rows.empty();
-        for (const ThroughputRow& row : rows) {
-            complete = complete && row.interactions == tiny.interactions_per_row &&
-                       row.fired > 0 && row.fired <= row.interactions &&
-                       row.fired_per_sec > 0.0;
-        }
-        check(complete, "epoch rows complete with consistent fired accounting");
-    }
-    std::printf("epoch smoke: %s\n", ok ? "PASS" : "FAIL");
-    return ok ? 0 : 1;
-}
-
-// Static-analyzer smoke: run analyze_protocol over *every* registered
-// protocol family (built from its documented example parameters), require
-// the independent checker to accept every emitted certificate and the
-// serialisation to round-trip, and require the analyzer to find nothing
-// wrong with these known-good protocols.  The CI entry point for the
-// analyze/ subsystem — run on every matrix leg, sanitizers included.
-int run_analyze_smoke() {
-    bool ok = true;
-    const auto check = [&ok](bool condition, const std::string& what) {
-        std::printf("  %-60s %s\n", what.c_str(), condition ? "ok" : "FAIL");
-        ok = ok && condition;
-    };
-
-    std::printf("analyze smoke: every registered family, certificates checker-verified\n");
-    for (const protocols::ProtocolFamily& family : protocols::protocol_families()) {
-        std::vector<std::string> args;
-        std::istringstream example(family.example_args);
-        for (std::string token; example >> token;) args.push_back(token);
-        const Protocol protocol = protocols::build_family(family.name, args);
-        const analyze::Analysis analysis = analyze::analyze_protocol(protocol);
-
-        const std::string name = family.name;
-        bool clean = !analysis.consensus_refuted[0] && !analysis.consensus_refuted[1];
-        for (const bool u : analysis.unreachable) clean = clean && !u;
-        for (const bool d : analysis.dead) clean = clean && !d;
-        check(clean, name + ": no unreachable/dead/refuted findings");
-
-        const analyze::CheckReport report =
-            analyze::check_certificates(protocol, analysis.certificates);
-        check(report.ok, name + ": checker accepts all " +
-                             std::to_string(analysis.certificates.size()) + " certificates");
-        const std::vector<analyze::Certificate> reparsed = analyze::parse_certificates(
-            analyze::format_certificates(analysis.certificates));
-        check(reparsed == analysis.certificates, name + ": certificates round-trip");
-    }
-    std::printf("analyze smoke: %s\n", ok ? "PASS" : "FAIL");
-    return ok ? 0 : 1;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--e11-smoke") == 0) return run_e11_smoke();
-        if (std::strcmp(argv[i], "--epoch-smoke") == 0) return run_epoch_smoke();
-        if (std::strcmp(argv[i], "--analyze-smoke") == 0) return run_analyze_smoke();
     }
     benchmark::Initialize(&argc, argv);
     bool skip_sweeps = false;

@@ -28,7 +28,7 @@ int main() try {
 
     // One stochastic trajectory from 40 copies of the input species.
     const Simulator simulator(protocol);
-    Config mixture = protocol.initial_config(40);
+    Trajectory mixture(simulator, protocol.initial_config(40));
     Rng rng(2024);
 
     std::printf("\ntrajectory (counts per species, sampled every 40 interactions):\n%9s",
@@ -42,14 +42,14 @@ int main() try {
             std::printf("%9d", step);
             for (std::size_t q = 0; q < protocol.num_states(); ++q)
                 std::printf(" %6lld",
-                            static_cast<long long>(mixture[static_cast<StateId>(q)]));
+                            static_cast<long long>(mixture.config()[static_cast<StateId>(q)]));
             std::printf("\n");
-            if (simulator.is_provably_stable(mixture)) break;
+            if (mixture.provably_stable()) break;
         }
         simulator.step(mixture, rng);
     }
 
-    const auto output = protocol.consensus_output(mixture);
+    const auto output = protocol.consensus_output(mixture.config());
     std::printf("\nfinal consensus: %s\n",
                 output ? (*output ? "threshold reached" : "below threshold") : "not yet settled");
     return 0;

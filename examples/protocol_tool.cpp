@@ -224,8 +224,8 @@ CheckpointFlags extract_checkpoint_flags(std::vector<const char*>& args) {
     return flags;
 }
 
-/// The durable throughput run: drives run_batch to an interaction budget
-/// (restarting from IC whenever a trajectory goes silent, like the E11
+/// The durable throughput run: advances a Trajectory to an interaction
+/// budget (restarting from IC whenever it goes silent, like the E11
 /// sweep), snapshotting every ≥ N interactions.  The final line is a
 /// digest of (interactions, fired, restarts, rng state, config) — a
 /// killed-and-resumed run prints exactly the uninterrupted run's line.
@@ -234,7 +234,7 @@ int run_longrun(const Protocol& protocol, AgentCount population, std::uint64_t b
     const std::uint64_t fingerprint = protocol_fingerprint(protocol);
     const Simulator simulator(protocol);
 
-    Config config = protocol.initial_config(population);
+    Config start = protocol.initial_config(population);
     Rng rng(seed);
     std::uint64_t done = 0, fired = 0, restarts = 0;
 
@@ -245,7 +245,7 @@ int run_longrun(const Protocol& protocol, AgentCount population, std::uint64_t b
         for (const std::string& rejection : latest.rejected)
             std::fprintf(stderr, "resume: skipping %s\n", rejection.c_str());
         if (latest.checkpoint) {
-            config = latest.checkpoint->config;
+            start = latest.checkpoint->config;
             rng.set_state(latest.checkpoint->rng_state);
             done = latest.checkpoint->interactions;
             fired = latest.checkpoint->fired;
@@ -256,6 +256,9 @@ int run_longrun(const Protocol& protocol, AgentCount population, std::uint64_t b
             std::printf("no valid checkpoint in %s — starting fresh\n", flags.dir.c_str());
         }
     }
+    // The trajectory's counters are the run's absolute totals across
+    // restarts, so checkpoint ticks carry them directly.
+    Trajectory trajectory(simulator, std::move(start), done, fired);
 
     install_stop_handlers();
     const auto snapshot = [&](const Config& at, std::uint64_t rng_state,
@@ -272,51 +275,49 @@ int run_longrun(const Protocol& protocol, AgentCount population, std::uint64_t b
             std::fprintf(stderr, "checkpoint write failed: %s\n", detail.c_str());
     };
 
-    while (done < budget && !g_stop.load()) {
-        CheckpointHook hook;
-        const CheckpointHook* hook_ptr = nullptr;
-        if (dir) {
-            hook.every = flags.every;
-            hook.callback = [&](const CheckpointTick& tick) {
-                snapshot(tick.config, tick.rng_state, done + tick.interactions,
-                         fired + tick.fired);
-                if (flags.die_after != 0 && done + tick.interactions >= flags.die_after) {
-                    // Deterministic crash injection for the CI smoke: a real
-                    // SIGKILL — no cleanup, no final checkpoint, the rotation
-                    // is all that survives.
-                    std::raise(SIGKILL);
-                }
-                return !g_stop.load();
-            };
-            hook_ptr = &hook;
-        }
-        std::uint64_t fired_in_call = 0;
-        const std::uint64_t got =
-            simulator.run_batch(config, rng, budget - done, false, hook_ptr, &fired_in_call);
-        done += got;
-        fired += fired_in_call;
-        if (done >= budget || g_stop.load()) break;
-        if (got == 0) {
+    CheckpointHook hook;
+    RunOptions run;
+    if (dir) {
+        hook.every = flags.every;
+        hook.callback = [&](const CheckpointTick& tick) {
+            snapshot(tick.config, tick.rng_state, tick.interactions, tick.fired);
+            if (flags.die_after != 0 && tick.interactions >= flags.die_after) {
+                // Deterministic crash injection for the CI smoke: a real
+                // SIGKILL — no cleanup, no final checkpoint, the rotation
+                // is all that survives.
+                std::raise(SIGKILL);
+            }
+            return !g_stop.load();
+        };
+        run.hook = &hook;
+    }
+    while (trajectory.interactions() < budget && !g_stop.load()) {
+        run.budget = budget - trajectory.interactions();
+        const RunReport report = simulator.advance(trajectory, rng, run);
+        if (trajectory.interactions() >= budget || g_stop.load()) break;
+        if (report.interactions == 0) {
             std::printf("configuration is silent from the start — nothing to run\n");
             break;
         }
         // Trajectory went silent before the budget: restart from IC so the
         // run keeps measuring (deterministic — part of the resumable state).
         ++restarts;
-        config = protocol.initial_config(population);
+        trajectory = Trajectory(simulator, protocol.initial_config(population),
+                                trajectory.interactions(), trajectory.fired());
     }
 
     const bool interrupted = g_stop.load();
     if (dir) {
-        snapshot(config, rng.state(), done, fired);
+        snapshot(trajectory.config(), rng.state(), trajectory.interactions(), trajectory.fired());
         if (interrupted)
             std::printf("interrupted — final checkpoint written to %s\n", flags.dir.c_str());
     }
     std::printf("longrun: interactions=%llu fired=%llu restarts=%llu rng=%016llx digest=%016llx\n",
-                static_cast<unsigned long long>(done), static_cast<unsigned long long>(fired),
+                static_cast<unsigned long long>(trajectory.interactions()),
+                static_cast<unsigned long long>(trajectory.fired()),
                 static_cast<unsigned long long>(restarts),
                 static_cast<unsigned long long>(rng.state()),
-                static_cast<unsigned long long>(config_digest(config)));
+                static_cast<unsigned long long>(config_digest(trajectory.config())));
     return 0;
 }
 

@@ -1,19 +1,10 @@
 #include "core/config.hpp"
 
-#include <atomic>
 #include <numeric>
 #include <sstream>
 #include <stdexcept>
 
 namespace ppsc {
-
-std::uint64_t Config::next_version() noexcept {
-    static std::atomic<std::uint64_t> next_block{0};
-    thread_local std::uint64_t stamp = 0;
-    if ((stamp & 0xffffffffull) == 0)
-        stamp = next_block.fetch_add(1, std::memory_order_relaxed) << 32;
-    return ++stamp;
-}
 
 Config Config::from_counts(std::vector<AgentCount> counts) {
     AgentCount total = 0;
@@ -24,7 +15,6 @@ Config Config::from_counts(std::vector<AgentCount> counts) {
     Config config(counts.size());
     config.counts_ = std::move(counts);
     config.total_ = total;
-    config.version_ = next_version();
     return config;
 }
 
@@ -39,7 +29,6 @@ void Config::set(StateId state, AgentCount count) {
     AgentCount& slot = counts_.at(static_cast<std::size_t>(state));
     total_ += count - slot;
     slot = count;
-    version_ = next_version();
 }
 
 void Config::add(StateId state, AgentCount delta) {
@@ -47,7 +36,6 @@ void Config::add(StateId state, AgentCount delta) {
     if (slot + delta < 0) throw std::invalid_argument("Config::add: count would go negative");
     slot += delta;
     total_ += delta;
-    version_ = next_version();
 }
 
 std::vector<StateId> Config::support() const {
@@ -78,7 +66,6 @@ Config& Config::operator+=(const Config& rhs) {
         throw std::invalid_argument("Config::operator+=: dimension mismatch");
     for (std::size_t q = 0; q < counts_.size(); ++q) counts_[q] += rhs.counts_[q];
     total_ += rhs.total_;
-    version_ = next_version();
     return *this;
 }
 
@@ -91,7 +78,6 @@ Config& Config::operator-=(const Config& rhs) {
     }
     for (std::size_t q = 0; q < counts_.size(); ++q) counts_[q] -= rhs.counts_[q];
     total_ -= rhs.total_;
-    version_ = next_version();
     return *this;
 }
 
@@ -99,7 +85,6 @@ Config& Config::operator*=(AgentCount factor) {
     if (factor < 0) throw std::invalid_argument("Config::operator*=: negative factor");
     for (auto& c : counts_) c *= factor;
     total_ *= factor;
-    version_ = next_version();
     return *this;
 }
 

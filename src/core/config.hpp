@@ -5,11 +5,8 @@
 // vector — protocols in this library have at most a few hundred states, so
 // dense wins on locality and hashing.  Config is a regular value type.
 //
-// Two hot-path affordances for the simulator:
-//   * |C| is cached and maintained incrementally, so size() is O(1);
-//   * every mutation stamps a fresh, per-thread-unique version() — samplers
-//     keyed on (address, version) can detect external modification without
-//     rescanning the counts.
+// |C| is cached and maintained incrementally, so size() is O(1) — the
+// simulator's hot path reads it on every step.
 #pragma once
 
 #include <cstdint>
@@ -33,22 +30,14 @@ public:
     /// The empty configuration over `num_states` states.
     explicit Config(std::size_t num_states) : counts_(num_states, 0) {}
 
-    Config(const Config& other) : counts_(other.counts_), total_(other.total_) {}
+    Config(const Config& other) = default;
+    Config& operator=(const Config& other) = default;
+    // Moves zero the source's total: size() == Σcounts on the moved-from shell.
     Config(Config&& other) noexcept
-        : counts_(std::move(other.counts_)), total_(other.total_) {
-        other.total_ = 0;  // keep size()==Σcounts on the moved-from shell
-    }
-    Config& operator=(const Config& other) {
-        counts_ = other.counts_;
-        total_ = other.total_;
-        version_ = next_version();
-        return *this;
-    }
+        : counts_(std::move(other.counts_)), total_(std::exchange(other.total_, 0)) {}
     Config& operator=(Config&& other) noexcept {
         counts_ = std::move(other.counts_);
-        total_ = other.total_;
-        other.total_ = 0;  // keep size()==Σcounts on the moved-from shell
-        version_ = next_version();
+        total_ = std::exchange(other.total_, 0);
         return *this;
     }
 
@@ -98,16 +87,10 @@ public:
     friend Config operator*(Config lhs, AgentCount factor) { return lhs *= factor; }
     friend Config operator*(AgentCount factor, Config rhs) { return rhs *= factor; }
 
-    /// Value equality on the counts (the version stamp does not participate).
+    /// Value equality on the counts.
     bool operator==(const Config& rhs) const noexcept { return counts_ == rhs.counts_; }
 
     const std::vector<AgentCount>& counts() const noexcept { return counts_; }
-
-    /// Mutation stamp: changes on every mutation and is unique across the
-    /// whole process, so `(address, version)` identifies one value of one
-    /// live object even when configurations migrate between threads.  Used
-    /// by Simulator to cache its incremental sampler.
-    std::uint64_t version() const noexcept { return version_; }
 
     std::size_t hash() const noexcept { return hash_int_vector(counts_); }
 
@@ -115,14 +98,8 @@ public:
     std::string to_string(std::span<const std::string> names = {}) const;
 
 private:
-    // Process-unique stamps without per-mutation contention: each thread
-    // draws 2³²-stamp blocks from one global atomic and counts through its
-    // block locally (a thread exhausting a block just draws the next one).
-    static std::uint64_t next_version() noexcept;
-
     std::vector<AgentCount> counts_;
     AgentCount total_ = 0;
-    std::uint64_t version_ = next_version();
 };
 
 struct ConfigHash {

@@ -181,28 +181,26 @@ std::vector<ThroughputRow> e11_throughput_sweep(const E11Options& options) {
             const Simulator simulator(variant.protocol, options.selection);
             for (const AgentCount population : options.populations) {
                 Rng rng(options.seed ^ (row_index++ << 32));
-                Config config = variant.protocol.initial_config(population);
                 const auto start = std::chrono::steady_clock::now();
+                Trajectory trajectory(simulator, variant.protocol.initial_config(population));
+                RunOptions run;
+                run.step_mode = options.step_mode;
+                run.epoch = options.epoch;
                 std::uint64_t done = 0;
                 std::uint64_t fired = 0;
                 while (done < options.interactions_per_row) {
-                    const std::uint64_t want = options.interactions_per_row - done;
-                    // The fired out-param is per-call (overwritten, never
-                    // accumulated by run_batch), so summing it here counts
-                    // each restart's firings exactly once.
-                    std::uint64_t fired_call = 0;
-                    const std::uint64_t got =
-                        simulator.run_batch(config, rng, want, false, nullptr, &fired_call,
-                                            options.step_mode, options.epoch);
-                    done += got;
-                    fired += fired_call;
-                    if (got < want) {
-                        // A config that executes nothing is silent from the
-                        // start (or degenerate) — restarting would spin.
-                        if (got == 0) break;
+                    run.budget = options.interactions_per_row - done;
+                    const RunReport report = simulator.advance(trajectory, rng, run);
+                    done += report.interactions;
+                    fired += report.fired;
+                    if (report.stop == StopReason::silent) {
+                        // A trajectory that executes nothing is silent from
+                        // the start (or degenerate) — restarting would spin.
+                        if (report.interactions == 0) break;
                         // Sub-threshold trajectories end silent (≤ 1 token
                         // per level); restart from IC to keep measuring.
-                        config = variant.protocol.initial_config(population);
+                        trajectory =
+                            Trajectory(simulator, variant.protocol.initial_config(population));
                     }
                 }
                 const std::chrono::duration<double> elapsed =

@@ -68,7 +68,7 @@ std::vector<ConvergenceRow> convergence_sweep(
 // --- Experiment E11: double-exponential threshold workload -----------------
 //
 // Sustained engine throughput on the succinct-counter family across |Q| and
-// population.  Each row drives run_batch along the exact scheduler-chain
+// population.  Each row advances a Trajectory along the exact scheduler-chain
 // distribution; when a trajectory reaches silence it restarts from IC, so
 // the row measures full-trajectory throughput (merge phase + silent-skip
 // steady state) on state spaces with |Q| ≫ 10³.
@@ -86,7 +86,7 @@ struct ThroughputRow {
     AgentCount population = 0;
     std::uint64_t interactions = 0;   ///< interactions executed for the row
     /// Fired (non-silent) interactions among them — summed over the row's
-    /// run_batch calls, so IC restarts are never double-counted.  Epoch
+    /// advance() calls, so IC restarts are never double-counted.  Epoch
     /// rows report their sustained rate in fired interactions per second:
     /// the silent majority is skipped analytically either way, so
     /// interactions_per_sec alone would hide what the batching buys.

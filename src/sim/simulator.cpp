@@ -4,7 +4,8 @@
 #include <chrono>
 #include <cmath>
 #include <stdexcept>
-#include <type_traits>
+#include <string>
+#include <variant>
 
 #include "support/check.hpp"
 
@@ -32,7 +33,50 @@ W pair_weight(const Config& config, StateId a, StateId b) {
 /// E10 collector workloads; the break-even sits well under a thousand.
 constexpr std::size_t kFenwickPairThreshold = 256;
 
+/// Pair weights fit int64 exactly when n(n−1) does: n ≤ 2³¹ agents.
+bool pairs_fit_int64(AgentCount population) noexcept {
+    return population <= (AgentCount{1} << 31);
+}
+
+/// Samples an ordered pair of distinct agent ranks, then maps ranks to
+/// states through the Fenwick tree (O(log |Q|) instead of a prefix scan).
+std::pair<StateId, StateId> sample_agents(const FenwickTree& agents, Rng& rng) {
+    const std::int64_t n = agents.total();
+    PPSC_DASSERT(n >= 2);
+    const auto r1 = static_cast<std::int64_t>(rng.below(static_cast<std::uint64_t>(n)));
+    auto r2 = static_cast<std::int64_t>(rng.below(static_cast<std::uint64_t>(n - 1)));
+    if (r2 >= r1) ++r2;
+    return {static_cast<StateId>(agents.sample(r1)), static_cast<StateId>(agents.sample(r2))};
+}
+
+void require_pairs(const Config& config, const char* where) {
+    if (config.size() < 2)
+        throw std::invalid_argument(std::string(where) + ": needs at least two agents");
+}
+
 }  // namespace
+
+Trajectory::Trajectory(const Simulator& simulator, Config config, std::uint64_t interactions,
+                       std::uint64_t fired)
+    : simulator_(&simulator),
+      config_(std::move(config)),
+      interactions_(interactions),
+      fired_(fired) {
+    simulator.check_states(config_, "Trajectory");
+    if (pairs_fit_int64(config_.size())) {
+        simulator.init_context(context_.emplace<detail::StepContext<std::int64_t>>(), config_);
+    } else {
+        simulator.init_context(context_.emplace<detail::StepContext<Int128>>(), config_);
+    }
+}
+
+bool Trajectory::silent() const {
+    return std::visit([](const auto& ctx) { return ctx.active_weight == 0; }, context_);
+}
+
+bool Trajectory::provably_stable() const {
+    return std::visit([](const auto& ctx) { return ctx.provably_stable(); }, context_);
+}
 
 Simulator::Simulator(const Protocol& protocol, PairSelect pair_select)
     : protocol_(protocol), pair_select_(pair_select) {
@@ -65,13 +109,21 @@ void Simulator::compute_output_traps() {
     }
 }
 
+void Simulator::check_states(const Config& config, const char* where) const {
+    if (config.num_states() != protocol_.num_states())
+        throw std::invalid_argument(std::string(where) + ": configuration has " +
+                                    std::to_string(config.num_states()) +
+                                    " states, the protocol has " +
+                                    std::to_string(protocol_.num_states()));
+}
+
+void Simulator::check_owner(const Trajectory& trajectory) const {
+    if (trajectory.simulator_ != this)
+        throw std::invalid_argument("trajectory belongs to another simulator");
+}
+
 bool Simulator::is_silent(const Config& config) const {
-    // O(1) along a trajectory: the cached step context maintains W (the
-    // ordered non-silent pair weight) exactly, and W == 0 ⟺ silent.
-    if (const auto* ctx = current_cached_context<std::int64_t>(config))
-        return ctx->active_weight == 0;
-    if (const auto* ctx = current_cached_context<Int128>(config))
-        return ctx->active_weight == 0;
+    check_states(config, "Simulator::is_silent");
     // Counts-based rescan over whichever candidate set is smaller: the
     // protocol's non-silent pairs (Θ(#pairs), independent of how the
     // population spreads) or the support-pair square.  Wide-support
@@ -95,12 +147,7 @@ bool Simulator::is_silent(const Config& config) const {
 }
 
 bool Simulator::is_provably_stable(const Config& config) const {
-    // O(1) along a trajectory: the cached step context carries the per-trap
-    // outside-support counters and the silence weight.
-    if (const auto* ctx = current_cached_context<std::int64_t>(config))
-        return ctx->provably_stable();
-    if (const auto* ctx = current_cached_context<Int128>(config))
-        return ctx->provably_stable();
+    check_states(config, "Simulator::is_provably_stable");
     for (int b = 0; b < 2; ++b) {
         bool inside = true;
         for (const StateId q : config.support()) {
@@ -115,18 +162,7 @@ bool Simulator::is_provably_stable(const Config& config) const {
 }
 
 template <typename W>
-Simulator::StepContextT<W>& Simulator::cache_slot() const noexcept {
-    if constexpr (std::is_same_v<W, Int128>) {
-        return cache128_;
-    } else {
-        return cache64_;
-    }
-}
-
-template <typename W>
-void Simulator::init_context(StepContextT<W>& ctx, const Config& config) const {
-    PPSC_CHECK_MSG(config.num_states() == protocol_.num_states(),
-                   "configuration does not match the simulator's protocol");
+void Simulator::init_context(Context<W>& ctx, const Config& config) const {
     ctx.agents.assign(config.counts());
     const auto pairs = protocol_.nonsilent_pairs();
     ctx.active_weight = 0;
@@ -168,30 +204,10 @@ void Simulator::init_context(StepContextT<W>& ctx, const Config& config) const {
         if (outside & 2u) ctx.outside_trap[1] += counts[q];
     }
     ctx.dirty.clear();
-    ctx.owner = nullptr;
-    ctx.version = 0;
 }
 
 template <typename W>
-const Simulator::StepContextT<W>* Simulator::current_cached_context(const Config& config) const {
-    const StepContextT<W>& cache = cache_slot<W>();
-    if (cache.owner == &config && cache.version == config.version()) return &cache;
-    return nullptr;
-}
-
-template <typename W>
-Simulator::StepContextT<W>& Simulator::cached_context(const Config& config) const {
-    StepContextT<W>& cache = cache_slot<W>();
-    if (cache.owner != &config || cache.version != config.version()) {
-        init_context(cache, config);
-        cache.owner = &config;
-        cache.version = config.version();
-    }
-    return cache;
-}
-
-template <typename W>
-void Simulator::flush_pair_tree(StepContextT<W>& ctx) const {
+void Simulator::flush_pair_tree(Context<W>& ctx) const {
     if (ctx.dirty.empty()) return;
     // Past the threshold an O(n) rebuild beats replaying the queue (and the
     // queue stopped growing there, so this also bounds its memory).
@@ -211,7 +227,7 @@ void Simulator::flush_pair_tree(StepContextT<W>& ctx) const {
 }
 
 template <typename W>
-void Simulator::apply_count_delta(StepContextT<W>& ctx, Config& config, StateId q,
+void Simulator::apply_count_delta(Context<W>& ctx, Config& config, StateId q,
                                   AgentCount delta) const {
     const AgentCount before = config[q];
     config.add(q, delta);
@@ -250,7 +266,7 @@ void Simulator::apply_count_delta(StepContextT<W>& ctx, Config& config, StateId 
 }
 
 template <typename W>
-void Simulator::fire_in_context(StepContextT<W>& ctx, Config& config,
+void Simulator::fire_in_context(Context<W>& ctx, Config& config,
                                 const Transition& t) const {
     apply_count_delta(ctx, config, t.pre1, -1);
     apply_count_delta(ctx, config, t.pre2, -1);
@@ -258,22 +274,10 @@ void Simulator::fire_in_context(StepContextT<W>& ctx, Config& config,
     apply_count_delta(ctx, config, t.post2, 1);
 }
 
-std::pair<StateId, StateId> Simulator::sample_pair_in_agents(const FenwickTree& agents,
-                                                             Rng& rng) const {
-    // Sample an ordered pair of distinct agent ranks, then map ranks to
-    // states through the Fenwick tree (O(log |Q|) instead of a prefix scan).
-    const std::int64_t n = agents.total();
-    PPSC_DASSERT(n >= 2);
-    const auto r1 = static_cast<std::int64_t>(rng.below(static_cast<std::uint64_t>(n)));
-    auto r2 = static_cast<std::int64_t>(rng.below(static_cast<std::uint64_t>(n - 1)));
-    if (r2 >= r1) ++r2;
-    return {static_cast<StateId>(agents.sample(r1)), static_cast<StateId>(agents.sample(r2))};
-}
-
 template <typename W>
-std::optional<TransitionId> Simulator::step_in_context(StepContextT<W>& ctx, Config& config,
+std::optional<TransitionId> Simulator::step_in_context(Context<W>& ctx, Config& config,
                                                        Rng& rng) const {
-    const auto [s1, s2] = sample_pair_in_agents(ctx.agents, rng);
+    const auto [s1, s2] = sample_agents(ctx.agents, rng);
     const Protocol::PairId pair = protocol_.pair_id(s1, s2);
     if (pair == Protocol::kNoPair) return std::nullopt;  // silent encounter
 
@@ -283,9 +287,9 @@ std::optional<TransitionId> Simulator::step_in_context(StepContextT<W>& ctx, Con
 }
 
 template <typename W>
-std::optional<TransitionId> Simulator::advance(StepContextT<W>& ctx, Config& config, Rng& rng,
-                                               std::uint64_t budget,
-                                               std::uint64_t* consumed) const {
+std::optional<TransitionId> Simulator::next_fired(Context<W>& ctx, Config& config, Rng& rng,
+                                                  std::uint64_t budget,
+                                                  std::uint64_t* consumed) const {
     *consumed = 0;
     if (budget == 0) return std::nullopt;
     const W weight = ctx.active_weight;
@@ -302,7 +306,7 @@ std::optional<TransitionId> Simulator::advance(StepContextT<W>& ctx, Config& con
                 *consumed = budget;
                 return std::nullopt;
             }
-            const auto [s1, s2] = sample_pair_in_agents(ctx.agents, rng);
+            const auto [s1, s2] = sample_agents(ctx.agents, rng);
             const Protocol::PairId pair = protocol_.pair_id(s1, s2);
             if (pair != Protocol::kNoPair) {
                 const TransitionId chosen =
@@ -370,10 +374,9 @@ std::optional<TransitionId> Simulator::advance(StepContextT<W>& ctx, Config& con
 }
 
 template <typename W>
-bool Simulator::advance_epoch(StepContextT<W>& ctx, Config& config, Rng& rng,
-                              std::uint64_t budget, const EpochOptions& epoch,
-                              std::uint64_t* consumed, std::uint64_t* fired,
-                              EpochStats& stats) const {
+bool Simulator::next_epoch(Context<W>& ctx, Config& config, Rng& rng, std::uint64_t budget,
+                           const EpochOptions& epoch, std::uint64_t* consumed,
+                           std::uint64_t* fired, EpochStats& stats) const {
     PPSC_DASSERT(pair_select_ == PairSelect::fenwick);
     *consumed = 0;
     *fired = 0;
@@ -534,205 +537,159 @@ bool Simulator::advance_epoch(StepContextT<W>& ctx, Config& config, Rng& rng,
     return true;
 }
 
-void Simulator::merge_epoch_stats(const EpochStats& stats) const noexcept {
-    if (stats.epochs == 0 && stats.fallback_fired == 0 && stats.rejected_draws == 0) return;
-    epoch_epochs_.fetch_add(stats.epochs, std::memory_order_relaxed);
-    epoch_fired_.fetch_add(stats.epoch_fired, std::memory_order_relaxed);
-    epoch_fallback_fired_.fetch_add(stats.fallback_fired, std::memory_order_relaxed);
-    epoch_rejected_.fetch_add(stats.rejected_draws, std::memory_order_relaxed);
-}
-
-std::optional<TransitionId> Simulator::step(Config& config, Rng& rng) const {
-    PPSC_CHECK_MSG(config.size() >= 2, "simulation needs at least two agents");
-    if (pairs_fit_int64(config.size())) {
-        StepContextT<std::int64_t>& ctx = cached_context<std::int64_t>(config);
-        const auto fired = step_in_context(ctx, config, rng);
-        ctx.version = config.version();
-        return fired;
-    }
-    StepContextT<Int128>& ctx = cached_context<Int128>(config);
-    const auto fired = step_in_context(ctx, config, rng);
-    ctx.version = config.version();
-    return fired;
-}
-
-std::pair<StateId, StateId> Simulator::sample_pair(const Config& config, Rng& rng) const {
-    PPSC_CHECK_MSG(config.size() >= 2, "sampling needs at least two agents");
-    if (pairs_fit_int64(config.size()))
-        return sample_pair_in_agents(cached_context<std::int64_t>(config).agents, rng);
-    return sample_pair_in_agents(cached_context<Int128>(config).agents, rng);
-}
-
 template <typename W>
-std::uint64_t Simulator::run_batch_impl(Config& config, Rng& rng, std::uint64_t max_interactions,
-                                        bool stop_when_stable, const CheckpointHook* hook,
-                                        std::uint64_t* fired_count, StepMode step_mode,
-                                        const EpochOptions& epoch) const {
-    StepContextT<W>& ctx = cached_context<W>(config);
-    std::uint64_t done = 0;
-    std::uint64_t fired_total = 0;
+RunReport Simulator::advance_in(Trajectory& trajectory, Context<W>& ctx, Rng& rng,
+                                const RunOptions& options) const {
+    Config& config = trajectory.config_;
+    EpochStats& stats = trajectory.epoch_stats_;
+    RunReport report;
     // Epoch batching needs the exact per-pair weight array, which only the
     // Fenwick selection mode maintains; under scan selection epoch mode
-    // degrades to the per-step reference path (epoch_stats shows 0 epochs).
+    // degrades to the per-step reference path (0 epochs in the stats).
     const bool epoch_capable =
-        step_mode == StepMode::epoch && pair_select_ == PairSelect::fenwick;
-    EpochStats stats;
+        options.step_mode == StepMode::epoch && pair_select_ == PairSelect::fenwick;
     // Hook cadence: the callback runs at the first fired-step (or epoch)
-    // boundary at or past each mark, never inside advance()/advance_epoch()
+    // boundary at or past each mark, never inside next_fired()/next_epoch()
     // — checkpointing cannot split a silent-skip or multinomial draw, so
     // the rng stream (and hence the trajectory) is the same with or without
-    // the hook, and a resumed run realigns on the same boundaries (next
-    // mark = snapshot interactions + every).
-    const bool hooked = hook != nullptr && hook->active();
-    std::uint64_t next_hook = hooked ? hook->every : 0;
-    bool stop = false;
-    while (!stop && done < max_interactions) {
-        // The O(1) stability probe (two counters + W); the silent case alone
-        // is also caught by the advance paths below, budget-accounted.
-        if (stop_when_stable && ctx.provably_stable()) break;
+    // the hook, and a resumed trajectory realigns on the same boundaries
+    // (next mark = snapshot interactions + every).
+    const CheckpointHook* hook =
+        options.hook != nullptr && options.hook->active() ? options.hook : nullptr;
+    std::uint64_t next_hook = hook != nullptr ? trajectory.interactions_ + hook->every : 0;
+    // The O(1) stability probe (two counters + W).
+    if (options.stop_when_stable && ctx.provably_stable()) {
+        report.stop = StopReason::stable;
+        return report;
+    }
+    while (report.interactions < options.budget) {
+        const std::uint64_t budget = options.budget - report.interactions;
         std::uint64_t consumed = 0;
         std::uint64_t fired_now = 0;
-        if (epoch_capable && advance_epoch(ctx, config, rng, max_interactions - done, epoch,
-                                           &consumed, &fired_now, stats)) {
-            done += consumed;
-            if (consumed == 0) break;  // silent: no interaction can fire again
-        } else {
-            const auto fired = advance(ctx, config, rng, max_interactions - done, &consumed);
-            done += consumed;
-            if (!fired && consumed == 0) break;  // silent
-            if (fired) {
+        if (!(epoch_capable && next_epoch(ctx, config, rng, budget, options.epoch, &consumed,
+                                          &fired_now, stats))) {
+            if (next_fired(ctx, config, rng, budget, &consumed)) {
                 fired_now = 1;
                 if (epoch_capable) ++stats.fallback_fired;
             }
         }
-        fired_total += fired_now;
-        if (hooked && fired_now > 0 && done >= next_hook) {
-            // Publish the context before the callback: is_silent /
-            // is_provably_stable on `config` stay O(1) inside it.
-            ctx.version = config.version();
-            if (!hook->callback({config, rng.state(), done, fired_total})) stop = true;
-            next_hook = done + hook->every;
+        if (consumed == 0) {  // silent: no interaction can fire again
+            report.stop = StopReason::silent;
+            break;
+        }
+        report.interactions += consumed;
+        report.fired += fired_now;
+        trajectory.interactions_ += consumed;
+        trajectory.fired_ += fired_now;
+        if (fired_now == 0) continue;  // the budget ran out inside a silent run
+        if (options.stop_when_stable && ctx.provably_stable()) {
+            report.stop = StopReason::stable;
+            break;
+        }
+        if (hook != nullptr && trajectory.interactions_ >= next_hook) {
+            if (!hook->callback(
+                    {config, rng.state(), trajectory.interactions_, trajectory.fired_})) {
+                report.stop = StopReason::hook;
+                break;
+            }
+            next_hook = trajectory.interactions_ + hook->every;
         }
     }
-    ctx.version = config.version();
-    merge_epoch_stats(stats);
-    // Per-call out-param, overwritten (not accumulated): restart loops sum
-    // it themselves, so restarts are never double-counted.
-    if (fired_count != nullptr) *fired_count = fired_total;
-    return done;
+    return report;
+}
+
+RunReport Simulator::advance(Trajectory& trajectory, Rng& rng, const RunOptions& options) const {
+    check_owner(trajectory);
+    return std::visit(
+        [&](auto& ctx) { return advance_in(trajectory, ctx, rng, options); },
+        trajectory.context_);
+}
+
+std::optional<TransitionId> Simulator::step(Trajectory& trajectory, Rng& rng) const {
+    check_owner(trajectory);
+    require_pairs(trajectory.config_, "Simulator::step");
+    const auto fired = std::visit(
+        [&](auto& ctx) { return step_in_context(ctx, trajectory.config_, rng); },
+        trajectory.context_);
+    ++trajectory.interactions_;
+    if (fired) ++trajectory.fired_;
+    return fired;
+}
+
+std::optional<TransitionId> Simulator::fired_step(Trajectory& trajectory, Rng& rng,
+                                                  std::uint64_t budget,
+                                                  std::uint64_t* consumed) const {
+    check_owner(trajectory);
+    std::uint64_t local = 0;
+    std::uint64_t* out = consumed != nullptr ? consumed : &local;
+    // next_fired reports a population of 0 or 1 agents as silent (W == 0).
+    const auto fired = std::visit(
+        [&](auto& ctx) { return next_fired(ctx, trajectory.config_, rng, budget, out); },
+        trajectory.context_);
+    trajectory.interactions_ += *out;
+    if (fired) ++trajectory.fired_;
+    return fired;
+}
+
+std::pair<StateId, StateId> Simulator::sample_pair(const Trajectory& trajectory, Rng& rng) const {
+    check_owner(trajectory);
+    require_pairs(trajectory.config_, "Simulator::sample_pair");
+    return std::visit([&](const auto& ctx) { return sample_agents(ctx.agents, rng); },
+                      trajectory.context_);
 }
 
 std::uint64_t Simulator::run_batch(Config& config, Rng& rng, std::uint64_t max_interactions,
                                    bool stop_when_stable, const CheckpointHook* hook,
-                                   std::uint64_t* fired_count, StepMode step_mode,
-                                   const EpochOptions& epoch) const {
-    // Populations of 0 or 1 agents have no ordered pairs (n(n−1) == 0):
-    // no encounter can ever happen, so the batch is trivially complete.
-    if (config.size() < 2) {
-        if (fired_count != nullptr) *fired_count = 0;
-        return 0;
+                                   std::uint64_t* fired_count) const {
+    check_states(config, "Simulator::run_batch");
+    Trajectory trajectory(*this, std::move(config));
+    RunOptions options;
+    options.budget = max_interactions;
+    options.stop_when_stable = stop_when_stable;
+    options.hook = hook;
+    RunReport report;
+    try {
+        report = advance(trajectory, rng, options);
+    } catch (...) {
+        config = std::move(trajectory.config_);  // a throwing hook keeps the state
+        throw;
     }
-    if (pairs_fit_int64(config.size()))
-        return run_batch_impl<std::int64_t>(config, rng, max_interactions, stop_when_stable,
-                                            hook, fired_count, step_mode, epoch);
-    return run_batch_impl<Int128>(config, rng, max_interactions, stop_when_stable, hook,
-                                  fired_count, step_mode, epoch);
-}
-
-std::optional<TransitionId> Simulator::fired_step(Config& config, Rng& rng, std::uint64_t budget,
-                                                  std::uint64_t* consumed) const {
-    std::uint64_t local = 0;
-    std::uint64_t* out = consumed != nullptr ? consumed : &local;
-    *out = 0;
-    if (config.size() < 2) return std::nullopt;  // no pairs, trivially silent
-    if (pairs_fit_int64(config.size())) {
-        StepContextT<std::int64_t>& ctx = cached_context<std::int64_t>(config);
-        const auto fired = advance(ctx, config, rng, budget, out);
-        ctx.version = config.version();
-        return fired;
-    }
-    StepContextT<Int128>& ctx = cached_context<Int128>(config);
-    const auto fired = advance(ctx, config, rng, budget, out);
-    ctx.version = config.version();
-    return fired;
-}
-
-template <typename W>
-SimulationResult Simulator::run_impl(Config&& config, Rng& rng,
-                                     const SimulationOptions& options) const {
-    const AgentCount population = config.size();
-
-    // Per-run context on the stack: run() stays thread-safe.  The context
-    // carries the per-trap outside-support counters, so every stability
-    // probe below is an O(1) counter read.
-    StepContextT<W> ctx;
-    init_context(ctx, config);
-
-    // Resume support: a run restored from a checkpoint starts its counters
-    // where the snapshot left off, so (config, rng state, interactions,
-    // fired) evolves exactly as the uninterrupted run's tail — and the
-    // snapshots a resumed run writes carry the same totals the
-    // uninterrupted run would have written (no double- or under-counting
-    // across restarts).
-    std::uint64_t interactions = options.initial_interactions;
-    std::uint64_t fired_total = options.initial_fired;
-    bool converged = ctx.provably_stable();
-
-    const bool epoch_capable =
-        options.step_mode == StepMode::epoch && pair_select_ == PairSelect::fenwick;
-    EpochStats stats;
-    const bool hooked = options.checkpoint.active();
-    std::uint64_t next_hook = hooked ? interactions + options.checkpoint.every : 0;
-    while (!converged && interactions < options.max_interactions) {
-        std::uint64_t consumed = 0;
-        std::uint64_t fired_now = 0;
-        if (epoch_capable &&
-            advance_epoch(ctx, config, rng, options.max_interactions - interactions,
-                          options.epoch, &consumed, &fired_now, stats)) {
-            interactions += consumed;
-            if (consumed == 0) {
-                converged = true;  // silent
-                continue;
-            }
-        } else {
-            const auto fired =
-                advance(ctx, config, rng, options.max_interactions - interactions, &consumed);
-            interactions += consumed;
-            if (!fired) {
-                if (consumed == 0) converged = true;  // silent
-                continue;  // else: budget exhausted, loop condition exits
-            }
-            fired_now = 1;
-            if (epoch_capable) ++stats.fallback_fired;
-        }
-        fired_total += fired_now;
-        converged = ctx.provably_stable();
-        // Fired-step/epoch-boundary checkpointing (see CheckpointHook): the
-        // callback neither consumes randomness nor alters the trajectory.
-        // Skipped once converged — the final state is the caller's result.
-        if (hooked && !converged && interactions >= next_hook) {
-            if (!options.checkpoint.callback({config, rng.state(), interactions, fired_total}))
-                break;  // graceful stop: report the partial run as-is
-            next_hook = interactions + options.checkpoint.every;
-        }
-    }
-    merge_epoch_stats(stats);
-
-    SimulationResult result{std::move(config), interactions, fired_total, converged,
-                            std::nullopt, 0.0};
-    result.output = protocol_.consensus_output(result.final_config);
-    result.parallel_time =
-        static_cast<double>(interactions) / static_cast<double>(population);
-    return result;
+    config = std::move(trajectory.config_);
+    if (fired_count != nullptr) *fired_count = report.fired;
+    return report.interactions;
 }
 
 SimulationResult Simulator::run(Config config, Rng& rng,
                                 const SimulationOptions& options) const {
-    if (config.size() < 2)
-        throw std::invalid_argument("Simulator::run: configurations need at least two agents");
-    if (pairs_fit_int64(config.size()))
-        return run_impl<std::int64_t>(std::move(config), rng, options);
-    return run_impl<Int128>(std::move(config), rng, options);
+    require_pairs(config, "Simulator::run");
+    const AgentCount population = config.size();
+    // Resume support: a run restored from a checkpoint starts its counters
+    // where the snapshot left off, so (config, rng state, interactions,
+    // fired) evolves exactly as the uninterrupted run's tail — and the
+    // snapshots a resumed run writes carry the same totals the
+    // uninterrupted run would have written.
+    Trajectory trajectory(*this, std::move(config), options.initial_interactions,
+                          options.initial_fired);
+    RunOptions run;
+    run.budget = options.max_interactions > options.initial_interactions
+                     ? options.max_interactions - options.initial_interactions
+                     : 0;
+    run.stop_when_stable = true;
+    run.hook = &options.checkpoint;
+    run.step_mode = options.step_mode;
+    run.epoch = options.epoch;
+    const RunReport report = advance(trajectory, rng, run);
+
+    SimulationResult result{std::move(trajectory.config_),
+                            trajectory.interactions_,
+                            trajectory.fired_,
+                            report.stop == StopReason::stable || report.stop == StopReason::silent,
+                            std::nullopt,
+                            static_cast<double>(trajectory.interactions_) /
+                                static_cast<double>(population),
+                            trajectory.epoch_stats_};
+    result.output = protocol_.consensus_output(result.final_config);
+    return result;
 }
 
 SimulationResult Simulator::run_input(AgentCount input, Rng& rng,

@@ -18,8 +18,8 @@
 //      small ones instead of falling back to per-encounter stepping.
 //   3. Rejection-free batching: when W is small relative to the n(n−1)
 //      ordered pairs, the number of consecutive silent encounters is
-//      geometrically distributed — run()/run_batch() sample it in one shot
-//      and advance the interaction counter without executing the silent
+//      geometrically distributed — advance() samples it in one shot
+//      and moves the interaction counter without executing the silent
 //      encounters one by one.  The resulting trajectory distribution is
 //      exactly that of the naive per-encounter chain.
 //   4. Pair-weight Fenwick sampling: the interacting pair of a fired step
@@ -79,25 +79,24 @@
 // Stability probes are O(1) along a trajectory: every step context carries
 // per-trap outside-support counters (agents sitting outside W_b) maintained
 // by the same count-delta machinery that maintains the silence weight W, so
-// is_provably_stable on the configuration the cached context owns — and the
-// early-stop checks inside run()/run_batch() — read two counters instead of
-// rescanning the support (previously O(|support|) + an O(|support|²)
-// silence re-scan per probe).
+// Trajectory::provably_stable() — and the early-stop checks inside
+// advance() — read two counters instead of rescanning the support.
+// Simulator::is_provably_stable(Config) is the from-scratch rescan.
 //
-// Thread safety: run()/run_input() are const and keep all mutable state on
-// the stack, so one Simulator may serve concurrent runs (this is what the
-// parallel convergence sweeps do).  step()/run_batch()/fired_step()/
-// sample_pair() share a per-simulator sampler cache and must not be called
-// concurrently — and is_silent()/is_provably_stable() *read* that cache
-// (the O(1) probe path), so they must not race with the cache-writing calls
-// either; concurrently with run()/run_input() they are fine.
+// Ownership.  A Simulator is read-only after construction and shareable: it
+// holds the protocol tables and traps and nothing per run, so any number of
+// threads may use one Simulator at once.  A Trajectory — one execution C₀ → C₁ → … — owns
+// its configuration, its step context and its counters, and belongs to one
+// thread at a time.  All stepping goes through
+// advance(Trajectory&, Rng&, const RunOptions&); run()/run_input()/
+// run_batch() are thin wrappers that build a Trajectory for the call.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <optional>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "core/config.hpp"
@@ -110,22 +109,21 @@ namespace ppsc {
 
 /// One checkpointable moment of a trajectory, handed to CheckpointHook
 /// callbacks.  Everything a snapshot needs (sim/checkpoint.hpp): the
-/// current counts, the full Rng state, and the counters accumulated within
-/// the hook-bearing call (the caller adds its own resumed-from base).
+/// current counts, the full Rng state, and the trajectory's counters.
 struct CheckpointTick {
     const Config& config;
     std::uint64_t rng_state = 0;
-    /// Interactions executed in this call — run() adds the resumed-from base
-    /// (SimulationOptions::initial_interactions), run_batch callers add
-    /// their own.
+    /// Trajectory::interactions() at the tick — absolute, so it includes
+    /// the counters a resumed trajectory was constructed with (run() seeds
+    /// them from SimulationOptions::initial_interactions; run_batch()
+    /// starts them at 0, so its ticks count within the call).
     std::uint64_t interactions = 0;
-    /// Non-silent interactions, same accounting as `interactions`
-    /// (run() adds SimulationOptions::initial_fired).
+    /// Trajectory::fired() at the tick, same accounting.
     std::uint64_t fired = 0;
 };
 
-/// Checkpoint-every-N-interactions hook for run()/run_batch().  The
-/// callback fires at the first *fired-step boundary* at or past each
+/// Checkpoint-every-N-interactions hook for advance() and its wrappers.
+/// The callback fires at the first *fired-step boundary* at or past each
 /// cadence mark — never mid-advance — so it neither consumes randomness
 /// nor cuts a geometric silent-skip short: trajectories are byte-identical
 /// per seed with the hook present, absent, or resumed from any snapshot
@@ -140,7 +138,7 @@ struct CheckpointHook {
     bool active() const noexcept { return every != 0 && callback != nullptr; }
 };
 
-/// How run()/run_batch() advance the chain between stability checks.
+/// How advance() moves the chain between stability checks.
 /// `per_step` is the exact reference: one weight-proportional draw per
 /// fired interaction (with the geometric silent-skip), trajectory-identical
 /// per seed across all other engine options.  `epoch` batches fired steps
@@ -169,9 +167,9 @@ struct EpochOptions {
     std::uint64_t max_firings = std::uint64_t{1} << 22;
 };
 
-/// Counters describing how the epoch path engaged (per Simulator,
-/// accumulated across calls; see Simulator::epoch_stats).  Tests use them
-/// to assert the multinomial path actually ran; benchmarks to report the
+/// Counters describing how the epoch path engaged along one trajectory
+/// (Trajectory::epoch_stats, SimulationResult::epoch).  Tests use them to
+/// assert the multinomial path actually ran; benchmarks to report the
 /// epoch/fallback mix.
 struct EpochStats {
     std::uint64_t epochs = 0;          ///< multinomial epochs applied
@@ -210,6 +208,41 @@ struct SimulationResult {
     bool converged = false;           ///< a sound stability condition fired
     std::optional<int> output;        ///< consensus output of the final config
     double parallel_time = 0.0;       ///< interactions / population
+    EpochStats epoch;                 ///< epoch-path counters of this run
+};
+
+/// What one advance() call may do.
+struct RunOptions {
+    /// Interactions this call may execute (silent encounters included).
+    std::uint64_t budget = 0;
+    /// Stop as soon as the trajectory is provably stable (an O(1) counter
+    /// read per fired step; the trajectory up to the stop is unchanged).
+    bool stop_when_stable = false;
+    /// Checkpoint hook, invoked at fired-step (or epoch) boundaries; the
+    /// tick carries the trajectory's absolute counters.  Not invoked on the
+    /// step that made a stop_when_stable call provably stable.
+    const CheckpointHook* hook = nullptr;
+    /// Exact per-step reference vs. epoch-batched stepping (see StepMode).
+    /// Epoch mode needs Fenwick pair selection and degrades to per-step
+    /// under the scan.
+    StepMode step_mode = StepMode::per_step;
+    /// Epoch tuning, read only when step_mode == StepMode::epoch.
+    EpochOptions epoch;
+};
+
+/// Why an advance() call returned.
+enum class StopReason {
+    budget,  ///< RunOptions::budget interactions were executed
+    silent,  ///< no transition can fire again
+    stable,  ///< stop_when_stable and a sound stability condition holds
+    hook,    ///< the checkpoint callback asked to stop
+};
+
+/// What one advance() call did.
+struct RunReport {
+    std::uint64_t interactions = 0;  ///< executed by this call, ≤ budget
+    std::uint64_t fired = 0;         ///< non-silent interactions among them
+    StopReason stop = StopReason::budget;
 };
 
 /// How the interacting pair of a fired step is selected.  `fenwick` draws
@@ -221,8 +254,107 @@ struct SimulationResult {
 /// in the same order, so trajectories are identical per seed.
 enum class PairSelect { automatic, fenwick, scan };
 
-/// Reusable simulator for one protocol (precomputes output traps; the
-/// non-silent pair structure comes from the protocol's CSR tables).
+class Simulator;
+
+namespace detail {
+
+/// A Trajectory's incremental sampler state, templated on the pair weight
+/// type: int64 while every ordered pair weight fits (populations ≤ 2³¹
+/// agents), Int128 beyond.  Everything here is a function of (protocol,
+/// current counts).
+///
+/// The ordered pair weights (c(c−1) for self pairs, 2·c_p·c_q
+/// otherwise, by PairId) live in two layers: `pair_weights` and
+/// `active_weight` are exact after every count change at O(deg) array
+/// cost, while the Fenwick `pair_tree` used for O(log #pairs)
+/// fired-pair selection is a *lazy mirror*, flushed (or rebuilt, when
+/// cheaper) only when a sparse-regime selection actually needs it —
+/// dense-regime stepping never pays tree maintenance.
+template <typename Weight>
+struct StepContext {
+    FenwickTree agents;  ///< Fenwick tree over the count vector
+    std::vector<Weight> pair_weights;  ///< exact weights, by PairId
+    Weight active_weight = 0;          ///< Σ pair_weights = W; 0 ⟺ silent
+    BasicFenwickTree<Weight> pair_tree;  ///< lazy mirror of pair_weights
+    std::vector<Weight> tree_mirror;     ///< what pair_tree currently holds
+    /// PairIds whose mirror entry may be stale (duplicates allowed).
+    /// Once it passes the rebuild threshold the next flush rebuilds the
+    /// whole tree instead, so the queue — and per-update work — stays
+    /// bounded through arbitrarily long dense phases.
+    std::vector<Protocol::PairId> dirty;
+    /// Scan mode only: partner_weight[q] = Σ counts[p] over non-self
+    /// non-silent partners p of q, which maintains active_weight with a
+    /// single multiply per count change instead of per-pair products
+    /// (scan selection recomputes per-pair weights from the counts).
+    std::vector<AgentCount> partner_weight;
+    /// Agents currently outside each output trap W_b — 0 ⟺ the trap
+    /// captured the whole population, i.e. the output is stably b.
+    /// Maintained in apply_count_delta, so stability probes along a
+    /// trajectory are O(1) counter reads.
+    AgentCount outside_trap[2] = {0, 0};
+    /// Epoch-mode scratch, lazily sized to |Q| and kept all-zero between
+    /// epochs via the touched lists (clearing is O(|touched|), so the
+    /// per-epoch cost never scales with |Q|): per-state expected
+    /// consumption rate (in units of W), realized consumption of the
+    /// current draw, net count delta of the current draw.
+    std::vector<double> epoch_rate;
+    std::vector<AgentCount> epoch_cons;
+    std::vector<AgentCount> epoch_delta;
+    std::vector<StateId> epoch_rate_touched;
+    std::vector<StateId> epoch_touched;
+
+    /// The O(1) stable-consensus probe: a trap holds the whole
+    /// population, or the configuration is silent (W == 0).
+    bool provably_stable() const noexcept {
+        return outside_trap[0] == 0 || outside_trap[1] == 0 || active_weight == 0;
+    }
+};
+
+}  // namespace detail
+
+/// One execution of a simulator's protocol: the current configuration, the
+/// incremental sampler state that makes stepping and stability probes cheap,
+/// and the interaction/fired/epoch counters accumulated so far.  A value
+/// type (copying forks the execution); it refers to its Simulator, which
+/// must outlive it, and is advanced only by that Simulator.
+class Trajectory {
+public:
+    /// Starts at `config`.  `interactions`/`fired` seed the counters, so a
+    /// trajectory restored from a checkpoint continues its totals.  Throws
+    /// std::invalid_argument when `config` does not have exactly the
+    /// protocol's number of states.  Populations of 0 or 1 agents are
+    /// allowed: they have no pairs and are silent.
+    Trajectory(const Simulator& simulator, Config config, std::uint64_t interactions = 0,
+               std::uint64_t fired = 0);
+
+    const Config& config() const noexcept { return config_; }
+    /// Interactions executed so far (silent encounters included).
+    std::uint64_t interactions() const noexcept { return interactions_; }
+    /// Non-silent interactions executed so far.
+    std::uint64_t fired() const noexcept { return fired_; }
+    const EpochStats& epoch_stats() const noexcept { return epoch_stats_; }
+
+    /// O(1): every enabled pair of states is silent (the W == 0 identity).
+    bool silent() const;
+    /// O(1): a trap holds the whole population, or the trajectory is
+    /// silent — the two sound stability conditions.
+    bool provably_stable() const;
+
+private:
+    friend class Simulator;
+
+    const Simulator* simulator_;
+    Config config_;
+    /// The weight width is fixed at construction: a trajectory's population
+    /// never changes.
+    std::variant<detail::StepContext<std::int64_t>, detail::StepContext<Int128>> context_;
+    std::uint64_t interactions_ = 0;
+    std::uint64_t fired_ = 0;
+    EpochStats epoch_stats_;
+};
+
+/// The protocol tables and output traps of one protocol, read-only after
+/// construction and freely shared between threads.
 class Simulator {
 public:
     explicit Simulator(const Protocol& protocol,
@@ -236,187 +368,100 @@ public:
     /// (surfaced as the E11 `trap_setup_seconds` column).
     double trap_setup_seconds() const noexcept { return trap_setup_seconds_; }
 
+    /// Advances `trajectory` by up to `options.budget` interactions (silent
+    /// encounters are counted and, when profitable, skipped in bulk without
+    /// changing the trajectory distribution).  Returns fewer only when the
+    /// trajectory went silent, became provably stable under
+    /// `stop_when_stable`, or the hook asked to stop — RunReport::stop says
+    /// which.  With `step_mode == StepMode::epoch` fired steps are served
+    /// in multinomial epochs where profitable; hooks and stability probes
+    /// then run at epoch boundaries.  Throws std::invalid_argument when
+    /// `trajectory` belongs to another simulator.
+    RunReport advance(Trajectory& trajectory, Rng& rng, const RunOptions& options) const;
+
     /// Runs from `config` until a sound stability condition holds or the
-    /// interaction budget is exhausted.  Thread-safe.
+    /// interaction budget is exhausted.  Throws std::invalid_argument on
+    /// fewer than two agents or a configuration over the wrong states.
     SimulationResult run(Config config, Rng& rng, const SimulationOptions& options = {}) const;
 
-    /// Runs from IC(input) (single-input protocols).  Thread-safe.
+    /// Runs from IC(input) (single-input protocols).
     SimulationResult run_input(AgentCount input, Rng& rng,
                                const SimulationOptions& options = {}) const;
 
-    /// Executes exactly one interaction step on `config`; returns the
-    /// transition fired (nullopt for a silent encounter).  Not thread-safe
-    /// (uses the sampler cache).
-    std::optional<TransitionId> step(Config& config, Rng& rng) const;
-
-    /// Executes up to `max_interactions` interactions on `config` (silent
-    /// encounters are counted and, when profitable, skipped in bulk without
-    /// changing the trajectory distribution).  Returns the number executed —
-    /// never more than `max_interactions`; less only when the configuration
-    /// became silent (no transition can ever fire again) or, with
-    /// `stop_when_stable`, provably stable (is_provably_stable — an O(1)
-    /// counter read per fired interaction; the trajectory up to the stop is
-    /// unchanged) or a checkpoint callback requested a stop.  Populations of
-    /// 0 or 1 agents have no pairs and return 0 cleanly.  `hook`, when
-    /// active, is invoked at fired-step boundaries every ≥ hook->every
-    /// interactions (see CheckpointHook — the trajectory is unchanged by
-    /// it); `fired_count`, when non-null, receives the number of non-silent
-    /// interactions executed by this call — per call, not accumulated across
-    /// calls: restart loops must sum the out-param themselves.  With
-    /// `step_mode == StepMode::epoch` (and Fenwick pair selection) fired
-    /// steps are served in multinomial epochs where profitable — hooks and
-    /// stability probes then run at epoch boundaries; the interaction/fired
-    /// accounting is unchanged.  Not thread-safe.
+    /// advance() on a trajectory started at `config` with zero counters,
+    /// writing the final configuration back: returns the interactions
+    /// executed; `fired_count`, when non-null, receives the non-silent
+    /// interactions of this call (restart loops sum it themselves).
     std::uint64_t run_batch(Config& config, Rng& rng, std::uint64_t max_interactions,
                             bool stop_when_stable = false,
                             const CheckpointHook* hook = nullptr,
-                            std::uint64_t* fired_count = nullptr,
-                            StepMode step_mode = StepMode::per_step,
-                            const EpochOptions& epoch = {}) const;
+                            std::uint64_t* fired_count = nullptr) const;
 
-    /// Snapshot of the epoch-path counters accumulated by this simulator
-    /// (across run/run_batch calls in epoch mode; all zero otherwise).
-    /// Reads are thread-safe; concurrent epoch-mode runs accumulate
-    /// atomically.
-    EpochStats epoch_stats() const noexcept {
-        return {epoch_epochs_.load(std::memory_order_relaxed),
-                epoch_fired_.load(std::memory_order_relaxed),
-                epoch_fallback_fired_.load(std::memory_order_relaxed),
-                epoch_rejected_.load(std::memory_order_relaxed)};
-    }
-
-    /// Zeroes the epoch counters (test scaffolding).
-    void reset_epoch_stats() const noexcept {
-        epoch_epochs_.store(0, std::memory_order_relaxed);
-        epoch_fired_.store(0, std::memory_order_relaxed);
-        epoch_fallback_fired_.store(0, std::memory_order_relaxed);
-        epoch_rejected_.store(0, std::memory_order_relaxed);
-    }
+    /// Executes exactly one interaction — the per-encounter reference
+    /// chain; returns the transition fired (nullopt for a silent
+    /// encounter).  Throws std::invalid_argument on fewer than two agents.
+    std::optional<TransitionId> step(Trajectory& trajectory, Rng& rng) const;
 
     /// Advances the chain to its next *fired* interaction: consumes the
     /// (geometrically distributed) run of silent encounters, then fires one
     /// non-silent transition and returns it.  Sets *consumed (if non-null)
     /// to the interactions executed, silent run included.  Returns nullopt
-    /// with *consumed == 0 when the configuration is silent (or has < 2
+    /// with *consumed == 0 when the trajectory is silent (or has < 2
     /// agents), and nullopt with *consumed == budget when the budget ran
-    /// out inside the silent run.  Not thread-safe.
-    std::optional<TransitionId> fired_step(Config& config, Rng& rng, std::uint64_t budget,
+    /// out inside the silent run.
+    std::optional<TransitionId> fired_step(Trajectory& trajectory, Rng& rng,
+                                           std::uint64_t budget,
                                            std::uint64_t* consumed = nullptr) const;
 
     /// Samples the states of a uniform ordered pair of distinct agents
-    /// without mutating `config` — the scheduler's encounter distribution.
-    /// Exposed for statistical tests.  Not thread-safe.
-    std::pair<StateId, StateId> sample_pair(const Config& config, Rng& rng) const;
+    /// without stepping — the scheduler's encounter distribution.  Exposed
+    /// for statistical tests.  Throws std::invalid_argument on fewer than
+    /// two agents.
+    std::pair<StateId, StateId> sample_pair(const Trajectory& trajectory, Rng& rng) const;
 
     /// The output trap W_b used for convergence detection (exposed for
     /// tests and for the stable-set experiments).
     const std::vector<bool>& output_trap(int b) const { return traps_[b]; }
 
     /// True iff the configuration is silent: every enabled pair of states
-    /// has only the implicit silent transition.  O(1) when `config` owns the
-    /// cached step context (the W == 0 identity); otherwise a counts-based
-    /// rescan over min(#non-silent pairs, |support|²) candidates.
+    /// has only the implicit silent transition.  A counts-based rescan over
+    /// min(#non-silent pairs, |support|²) candidates (Trajectory::silent
+    /// is the O(1) probe).  Throws std::invalid_argument when `config` does
+    /// not have exactly the protocol's number of states.
     bool is_silent(const Config& config) const;
 
-    /// True iff one of the two sound stability conditions holds.  O(1) when
-    /// `config` owns the cached step context (the per-trap outside-support
-    /// counters maintained along step/run_batch/fired_step trajectories);
-    /// otherwise a support scan plus a silence rescan.
+    /// True iff one of the two sound stability conditions holds: a support
+    /// scan plus a silence rescan (Trajectory::provably_stable is the O(1)
+    /// probe).  Throws like is_silent.
     bool is_provably_stable(const Config& config) const;
 
 private:
-    /// Incremental per-configuration sampler state, templated on the pair
-    /// weight type: int64 while every ordered pair weight fits (populations
-    /// ≤ 2³¹ agents), Int128 beyond.  Everything here is a function of
-    /// (protocol, current counts); run() keeps one on the stack,
-    /// step()/run_batch()/fired_step() share the cached one (per width)
-    /// keyed on (config address, config version).
-    ///
-    /// The ordered pair weights (c(c−1) for self pairs, 2·c_p·c_q
-    /// otherwise, by PairId) live in two layers: `pair_weights` and
-    /// `active_weight` are exact after every count change at O(deg) array
-    /// cost, while the Fenwick `pair_tree` used for O(log #pairs)
-    /// fired-pair selection is a *lazy mirror*, flushed (or rebuilt, when
-    /// cheaper) only when a sparse-regime selection actually needs it —
-    /// dense-regime stepping never pays tree maintenance.
-    template <typename Weight>
-    struct StepContextT {
-        FenwickTree agents;  ///< Fenwick tree over the count vector
-        std::vector<Weight> pair_weights;  ///< exact weights, by PairId
-        Weight active_weight = 0;          ///< Σ pair_weights = W; 0 ⟺ silent
-        BasicFenwickTree<Weight> pair_tree;  ///< lazy mirror of pair_weights
-        std::vector<Weight> tree_mirror;     ///< what pair_tree currently holds
-        /// PairIds whose mirror entry may be stale (duplicates allowed).
-        /// Once it passes the rebuild threshold the next flush rebuilds the
-        /// whole tree instead, so the queue — and per-update work — stays
-        /// bounded through arbitrarily long dense phases.
-        std::vector<Protocol::PairId> dirty;
-        /// Scan mode only: partner_weight[q] = Σ counts[p] over non-self
-        /// non-silent partners p of q, which maintains active_weight with a
-        /// single multiply per count change instead of per-pair products
-        /// (scan selection recomputes per-pair weights from the counts).
-        std::vector<AgentCount> partner_weight;
-        /// Agents currently outside each output trap W_b — 0 ⟺ the trap
-        /// captured the whole population, i.e. the output is stably b.
-        /// Maintained in apply_count_delta, so stability probes along a
-        /// trajectory are O(1) counter reads.
-        AgentCount outside_trap[2] = {0, 0};
-        /// Epoch-mode scratch, lazily sized to |Q| and kept all-zero between
-        /// epochs via the touched lists (clearing is O(|touched|), so the
-        /// per-epoch cost never scales with |Q|): per-state expected
-        /// consumption rate (in units of W), realized consumption of the
-        /// current draw, net count delta of the current draw.
-        std::vector<double> epoch_rate;
-        std::vector<AgentCount> epoch_cons;
-        std::vector<AgentCount> epoch_delta;
-        std::vector<StateId> epoch_rate_touched;
-        std::vector<StateId> epoch_touched;
-        const Config* owner = nullptr;
-        std::uint64_t version = 0;
-
-        /// The O(1) stable-consensus probe: a trap holds the whole
-        /// population, or the configuration is silent (W == 0).
-        bool provably_stable() const noexcept {
-            return outside_trap[0] == 0 || outside_trap[1] == 0 || active_weight == 0;
-        }
-    };
-
-    /// Pair weights fit int64 exactly when n(n−1) does: n ≤ 2³¹ agents.
-    static bool pairs_fit_int64(AgentCount population) noexcept {
-        return population <= (AgentCount{1} << 31);
-    }
+    friend class Trajectory;
+    template <typename W>
+    using Context = detail::StepContext<W>;
 
     void compute_output_traps();
+    void check_states(const Config& config, const char* where) const;
+    void check_owner(const Trajectory& trajectory) const;
 
     template <typename W>
-    void init_context(StepContextT<W>& ctx, const Config& config) const;
-    template <typename W>
-    StepContextT<W>& cached_context(const Config& config) const;
-
-    /// The cached context of `config` iff it is current (same object, same
-    /// version — i.e. the incremental counters describe exactly this
-    /// value); nullptr otherwise.  Read-only: never (re)initialises.
-    template <typename W>
-    const StepContextT<W>* current_cached_context(const Config& config) const;
+    void init_context(Context<W>& ctx, const Config& config) const;
 
     /// Adds `delta` agents to state q, keeping the agent tree and the exact
     /// pair-weight layer in sync (O(deg(q)) via the protocol's per-pair
     /// delta table; the pair tree is only marked stale).
     template <typename W>
-    void apply_count_delta(StepContextT<W>& ctx, Config& config, StateId q,
-                           AgentCount delta) const;
+    void apply_count_delta(Context<W>& ctx, Config& config, StateId q, AgentCount delta) const;
     template <typename W>
-    void fire_in_context(StepContextT<W>& ctx, Config& config, const Transition& t) const;
+    void fire_in_context(Context<W>& ctx, Config& config, const Transition& t) const;
 
     /// Brings the pair tree up to date with pair_weights: applies the queued
     /// deltas, or rebuilds outright once that is cheaper.
     template <typename W>
-    void flush_pair_tree(StepContextT<W>& ctx) const;
+    void flush_pair_tree(Context<W>& ctx) const;
 
-    std::pair<StateId, StateId> sample_pair_in_agents(const FenwickTree& agents, Rng& rng) const;
     template <typename W>
-    std::optional<TransitionId> step_in_context(StepContextT<W>& ctx, Config& config,
-                                                Rng& rng) const;
+    std::optional<TransitionId> step_in_context(Context<W>& ctx, Config& config, Rng& rng) const;
 
     /// Advances the interaction chain by up to `budget` interactions:
     /// consumes the (geometrically distributed) run of silent encounters,
@@ -426,8 +471,8 @@ private:
     /// configuration is silent, and nullopt with *consumed == budget when
     /// the budget ran out first.
     template <typename W>
-    std::optional<TransitionId> advance(StepContextT<W>& ctx, Config& config, Rng& rng,
-                                        std::uint64_t budget, std::uint64_t* consumed) const;
+    std::optional<TransitionId> next_fired(Context<W>& ctx, Config& config, Rng& rng,
+                                           std::uint64_t budget, std::uint64_t* consumed) const;
 
     /// Serves up to one epoch of fired steps as a single multinomial draw
     /// over the pair-weight Fenwick, applied as aggregated per-state count
@@ -436,22 +481,15 @@ private:
     /// epoch exists at the current weights (the caller takes the exact
     /// per-step path); returns true with *consumed == 0 iff the
     /// configuration is silent.  Requires Fenwick pair selection.
-    /// `stats` accumulates the local counters (merged into the atomics once
-    /// per run_batch/run call).
     template <typename W>
-    bool advance_epoch(StepContextT<W>& ctx, Config& config, Rng& rng, std::uint64_t budget,
-                       const EpochOptions& epoch, std::uint64_t* consumed, std::uint64_t* fired,
-                       EpochStats& stats) const;
+    bool next_epoch(Context<W>& ctx, Config& config, Rng& rng, std::uint64_t budget,
+                    const EpochOptions& epoch, std::uint64_t* consumed, std::uint64_t* fired,
+                    EpochStats& stats) const;
 
-    void merge_epoch_stats(const EpochStats& stats) const noexcept;
-
+    /// The stepping loop behind advance().
     template <typename W>
-    SimulationResult run_impl(Config&& config, Rng& rng, const SimulationOptions& options) const;
-    template <typename W>
-    std::uint64_t run_batch_impl(Config& config, Rng& rng, std::uint64_t max_interactions,
-                                 bool stop_when_stable, const CheckpointHook* hook,
-                                 std::uint64_t* fired_count, StepMode step_mode,
-                                 const EpochOptions& epoch) const;
+    RunReport advance_in(Trajectory& trajectory, Context<W>& ctx, Rng& rng,
+                         const RunOptions& options) const;
 
     // Owned copy: simulators are long-lived; never dangle on a temporary.
     Protocol protocol_;
@@ -461,19 +499,6 @@ private:
     /// outside_mask_[q]: bit b set ⟺ q lies *outside* trap b — one byte
     /// load resolves both per-trap counter updates on the count-delta path.
     std::vector<std::uint8_t> outside_mask_;
-
-    // Epoch-path counters (EpochStats), relaxed atomics so thread-safe
-    // run() calls in epoch mode can accumulate concurrently.
-    mutable std::atomic<std::uint64_t> epoch_epochs_{0};
-    mutable std::atomic<std::uint64_t> epoch_fired_{0};
-    mutable std::atomic<std::uint64_t> epoch_fallback_fired_{0};
-    mutable std::atomic<std::uint64_t> epoch_rejected_{0};
-
-    mutable StepContextT<std::int64_t> cache64_;
-    mutable StepContextT<Int128> cache128_;
-
-    template <typename W>
-    StepContextT<W>& cache_slot() const noexcept;
 };
 
 }  // namespace ppsc

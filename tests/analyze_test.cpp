@@ -3,19 +3,23 @@
 // 3-state corpus, checker acceptance of every emitted certificate,
 // serialisation round trips, tamper rejection (a mutated certificate must
 // never pass the independent checker), the leader-counting power of
-// invariant certificates over the structural closure, and exact verdict
-// preservation of the busy-beaver static pre-screen.
+// invariant certificates over the structural closure, a clean bill with
+// checker-accepted, round-tripping certificates on every registered
+// protocol family, and exact verdict preservation of the busy-beaver
+// static pre-screen.
 #include "analyze/analyze.hpp"
 
 #include <gtest/gtest.h>
 
 #include <functional>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "analyze/checker.hpp"
+#include "protocols/families.hpp"
 #include "protocols/threshold.hpp"
 #include "search/busy_beaver.hpp"
 #include "verify/reachability.hpp"
@@ -224,6 +228,32 @@ TEST(StaticAnalysis, HealthyProtocolHasNoFindings) {
     EXPECT_FALSE(analysis.consensus_refuted[0]);
     EXPECT_FALSE(analysis.consensus_refuted[1]);
     EXPECT_TRUE(analyze::check_certificates(protocol, analysis.certificates).ok);
+}
+
+TEST(StaticAnalysis, EveryRegisteredFamilyIsCleanAndCertified) {
+    // Every registered protocol family, built from its documented example
+    // parameters: the analyzer finds nothing wrong with these known-good
+    // protocols, the independent checker accepts every emitted
+    // certificate, and the certificate text round-trips.
+    for (const protocols::ProtocolFamily& family : protocols::protocol_families()) {
+        SCOPED_TRACE(family.name);
+        std::vector<std::string> args;
+        std::istringstream example(family.example_args);
+        for (std::string token; example >> token;) args.push_back(token);
+        const Protocol protocol = protocols::build_family(family.name, args);
+        const Analysis analysis = analyze::analyze_protocol(protocol);
+
+        EXPECT_FALSE(analysis.consensus_refuted[0]);
+        EXPECT_FALSE(analysis.consensus_refuted[1]);
+        for (const bool u : analysis.unreachable) EXPECT_FALSE(u);
+        for (const bool d : analysis.dead) EXPECT_FALSE(d);
+
+        const CheckReport report = analyze::check_certificates(protocol, analysis.certificates);
+        EXPECT_TRUE(report.ok) << report.error;
+        const std::vector<Certificate> reparsed =
+            analyze::parse_certificates(analyze::format_certificates(analysis.certificates));
+        EXPECT_EQ(reparsed, analysis.certificates);
+    }
 }
 
 /// Applies `mutate` to a copy of the fixture's certificates and asserts the

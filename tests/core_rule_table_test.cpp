@@ -111,13 +111,14 @@ TEST(SparseRuleTable, SingleSelfPair) {
         ASSERT_EQ(p.rules_for_pair_id(0).size(), 1u);
 
         const Simulator simulator(p);
-        Config config = p.initial_config(2);
+        Trajectory trajectory(simulator, p.initial_config(2));
         Rng rng(7);
         std::uint64_t consumed = 0;
-        const auto fired = simulator.fired_step(config, rng, std::uint64_t{1} << 30, &consumed);
+        const auto fired =
+            simulator.fired_step(trajectory, rng, std::uint64_t{1} << 30, &consumed);
         ASSERT_TRUE(fired.has_value());
-        EXPECT_EQ(config[t], 2);  // a,a -> t,t fired; now silent
-        EXPECT_FALSE(simulator.fired_step(config, rng, std::uint64_t{1} << 30, &consumed));
+        EXPECT_EQ(trajectory.config()[t], 2);  // a,a -> t,t fired; now silent
+        EXPECT_FALSE(simulator.fired_step(trajectory, rng, std::uint64_t{1} << 30, &consumed));
     }
 }
 
@@ -183,14 +184,14 @@ TEST(SparseRuleTable, DenseSparseIdentityOnTheExhaustive4995ConfigSweep) {
             counts[q] = left;
             const Config base = Config::from_counts(counts);
             if (base.size() >= 2) {
-                Config a = base, b = base;
+                Trajectory a(sim_dense, base), b(sim_sparse, base);
                 Rng rng_a(++seed), rng_b(seed);
                 std::uint64_t consumed_a = 0, consumed_b = 0;
                 const auto fired_a = sim_dense.fired_step(a, rng_a, 64, &consumed_a);
                 const auto fired_b = sim_sparse.fired_step(b, rng_b, 64, &consumed_b);
                 ASSERT_EQ(fired_a, fired_b) << base.to_string(dense_table.state_names());
                 ASSERT_EQ(consumed_a, consumed_b) << base.to_string(dense_table.state_names());
-                ASSERT_TRUE(a == b) << base.to_string(dense_table.state_names());
+                ASSERT_TRUE(a.config() == b.config()) << base.to_string(dense_table.state_names());
                 ++checked;
             }
             counts[q] = 0;

@@ -1,5 +1,5 @@
 // Tests for the high-throughput simulation engine: batched stepping
-// (run_batch), the rejection-free silent-encounter skipping inside run(),
+// (advance and its run_batch wrapper), the rejection-free silent-encounter skipping inside run(),
 // incremental silence detection, and the parallel convergence sweep.
 #include <gtest/gtest.h>
 
@@ -56,16 +56,16 @@ TEST(RunBatch, AgreesWithSingleSteppingUnderSameSeed) {
     const Simulator sim(p);
     const AgentCount inputs[] = {40, 24};
     Config batch_config = p.initial_config(inputs);
-    Config step_config = p.initial_config(inputs);
+    Trajectory stepped_trajectory(sim, p.initial_config(inputs));
     Rng batch_rng(99), step_rng(99);
     const std::uint64_t executed = sim.run_batch(batch_config, batch_rng, 200);
     std::uint64_t stepped = 0;
     for (std::uint64_t i = 0; i < executed; ++i) {
-        sim.step(step_config, step_rng);
+        sim.step(stepped_trajectory, step_rng);
         ++stepped;
     }
     EXPECT_EQ(executed, stepped);
-    EXPECT_EQ(batch_config.size(), step_config.size());
+    EXPECT_EQ(batch_config.size(), stepped_trajectory.config().size());
 }
 
 TEST(RunBatch, ReturnsZeroCleanlyOnDegeneratePopulations) {
@@ -82,8 +82,10 @@ TEST(RunBatch, ReturnsZeroCleanlyOnDegeneratePopulations) {
     EXPECT_EQ(sim.run_batch(lonely, rng, 10), 0u);
     EXPECT_EQ(lonely.size(), 1);
     // fired_step reports the same boundary as "silent": nothing fires.
+    Trajectory lonely_trajectory(sim, lonely);
+    EXPECT_TRUE(lonely_trajectory.silent());
     std::uint64_t consumed = 99;
-    EXPECT_EQ(sim.fired_step(lonely, rng, 10, &consumed), std::nullopt);
+    EXPECT_EQ(sim.fired_step(lonely_trajectory, rng, 10, &consumed), std::nullopt);
     EXPECT_EQ(consumed, 0u);
 }
 
@@ -174,14 +176,12 @@ TEST(BatchedRun, InteractionCountDistributionMatchesPerStepReference) {
     double stepped_mean = 0.0;
     for (int s = 1; s <= trials; ++s) {
         Rng rng(static_cast<std::uint64_t>(1'000'000 + s));
-        Config config = p.initial_config(input);
-        std::uint64_t interactions = 0;
-        while (!sim.is_provably_stable(config)) {
-            sim.step(config, rng);
-            ++interactions;
-            ASSERT_LT(interactions, 10'000'000u);
+        Trajectory trajectory(sim, p.initial_config(input));
+        while (!trajectory.provably_stable()) {
+            sim.step(trajectory, rng);
+            ASSERT_LT(trajectory.interactions(), 10'000'000u);
         }
-        stepped_mean += static_cast<double>(interactions);
+        stepped_mean += static_cast<double>(trajectory.interactions());
     }
     stepped_mean /= trials;
 
@@ -264,55 +264,77 @@ TEST(ParallelSweep, ZeroTrialsAndEmptyPopulationsReturnCleanly) {
 }
 
 TEST(RunBatch, FiredCountIsPerCallAndSumsCleanlyAcrossRestarts) {
-    // The fired-count out-param is a *per-call* total, overwritten on every
-    // call — restart loops (e11_throughput_sweep) sum it themselves, so a
-    // stale value must never leak from one call into the next.
+    // RunReport::fired is a *per-call* total — restart loops
+    // (e11_throughput_sweep) sum it themselves, so a stale value must never
+    // leak from one call into the next.
     const Protocol p = protocols::double_exp_threshold(2);
     const Simulator sim(p, PairSelect::fenwick);
-    sim.reset_epoch_stats();
+    EpochStats stats;  // summed over the epoch-mode trajectories below
 
     for (const StepMode mode : {StepMode::per_step, StepMode::epoch}) {
         Rng rng(0xF1ED ^ static_cast<std::uint64_t>(mode));
-        Config config = p.initial_config(20'000);
+        Trajectory trajectory(sim, p.initial_config(20'000));
+        RunOptions run;
+        run.step_mode = mode;
         std::uint64_t total_done = 0;
         std::uint64_t total_fired = 0;
-        std::uint64_t fired_call = 0;
+        const auto add_stats = [&] {
+            if (mode != StepMode::epoch) return;
+            stats.epochs += trajectory.epoch_stats().epochs;
+            stats.epoch_fired += trajectory.epoch_stats().epoch_fired;
+            stats.fallback_fired += trajectory.epoch_stats().fallback_fired;
+        };
         for (int round = 0; round < 64; ++round) {
             const std::uint64_t chunk = 1 << 16;
-            const std::uint64_t got =
-                sim.run_batch(config, rng, chunk, false, nullptr, &fired_call, mode);
-            EXPECT_LE(fired_call, got) << "a call cannot fire more than it consumed";
-            total_done += got;
-            total_fired += fired_call;
-            if (got < chunk) config = p.initial_config(20'000);  // silent: restart
+            run.budget = chunk;
+            const RunReport report = sim.advance(trajectory, rng, run);
+            EXPECT_LE(report.fired, report.interactions)
+                << "a call cannot fire more than it consumed";
+            total_done += report.interactions;
+            total_fired += report.fired;
+            if (report.interactions < chunk) {  // silent: restart
+                add_stats();
+                trajectory = Trajectory(sim, p.initial_config(20'000));
+            }
         }
+        add_stats();
         EXPECT_GT(total_fired, 0u);
         EXPECT_LT(total_fired, total_done);  // silent skips dominate eventually
 
-        // Overwrite semantics: a silent config consumes and fires nothing,
-        // and the out-param must say so rather than keep its old value.
-        Config silent = Config::single(p.num_states(), *p.find_state("T"), 100);
-        fired_call = 0xDEAD;
-        EXPECT_EQ(sim.run_batch(silent, rng, 1'000, false, nullptr, &fired_call, mode), 0u);
-        EXPECT_EQ(fired_call, 0u);
+        // A silent config consumes and fires nothing, and the report must
+        // say so.
+        Trajectory silent(sim, Config::single(p.num_states(), *p.find_state("T"), 100));
+        run.budget = 1'000;
+        const RunReport report = sim.advance(silent, rng, run);
+        EXPECT_EQ(report.interactions, 0u);
+        EXPECT_EQ(report.fired, 0u);
+        EXPECT_EQ(report.stop, StopReason::silent);
     }
+    // The run_batch wrapper's out-param is overwritten, not accumulated.
+    Config silent = Config::single(p.num_states(), *p.find_state("T"), 100);
+    Rng rng(0xF1ED);
+    std::uint64_t fired_call = 0xDEAD;
+    EXPECT_EQ(sim.run_batch(silent, rng, 1'000, false, nullptr, &fired_call), 0u);
+    EXPECT_EQ(fired_call, 0u);
 
-    // Epoch-mode accounting cross-check: this simulator's counters saw only
-    // the loops above, so every fired interaction is either epoch-batched
-    // or a per-step fallback — per-call sums and global stats must agree
-    // on where each firing went (no double-counting across restarts).
-    const EpochStats stats = sim.epoch_stats();
+    // Epoch-mode accounting cross-check: the trajectories' counters saw
+    // only the epoch loop above, so every fired interaction is either
+    // epoch-batched or a per-step fallback — per-call sums and trajectory
+    // stats must agree on where each firing went (no double-counting
+    // across restarts).
     EXPECT_GT(stats.epochs, 0u);
     EXPECT_GT(stats.epoch_fired, 0u);
     Rng check_rng(0xF1ED ^ static_cast<std::uint64_t>(StepMode::epoch));
-    Config config = p.initial_config(20'000);
+    Trajectory trajectory(sim, p.initial_config(20'000));
+    RunOptions run;
+    run.budget = 1 << 16;
+    run.step_mode = StepMode::epoch;
     std::uint64_t epoch_fired_sum = 0;
-    std::uint64_t fired_call = 0;
     for (int round = 0; round < 64; ++round) {
-        const std::uint64_t got = sim.run_batch(config, check_rng, 1 << 16, false, nullptr,
-                                                &fired_call, StepMode::epoch);
-        epoch_fired_sum += fired_call;
-        if (got < (1u << 16)) config = p.initial_config(20'000);
+        const RunReport report = sim.advance(trajectory, check_rng, run);
+        epoch_fired_sum += report.fired;
+        if (report.interactions < (1u << 16))
+            trajectory = Trajectory(sim, p.initial_config(20'000));
     }
     EXPECT_EQ(epoch_fired_sum, stats.epoch_fired + stats.fallback_fired)
         << "per-call fired sums must partition into epoch_fired + fallback_fired";

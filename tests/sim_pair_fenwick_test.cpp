@@ -66,8 +66,8 @@ TEST(PairWeightFenwick, FiredPairDistributionPassesChiSquared) {
     std::map<std::pair<StateId, StateId>, std::uint64_t> observed;
     Rng rng(stat::derive_seed(314159, "fired-pair-gof"));
     for (int trial = 0; trial < samples; ++trial) {
-        Config config = base;
-        const auto fired = simulator.fired_step(config, rng, std::uint64_t{1} << 40);
+        Trajectory trajectory(simulator, base);
+        const auto fired = simulator.fired_step(trajectory, rng, std::uint64_t{1} << 40);
         ASSERT_TRUE(fired.has_value());
         const Transition& t = protocol.transitions()[static_cast<std::size_t>(*fired)];
         ++observed[{t.pre1, t.pre2}];
@@ -133,14 +133,14 @@ TEST(PairWeightFenwick, ExhaustiveSmallProtocolEquivalence) {
             counts[q] = left;
             const Config base = Config::from_counts(counts);
             if (base.size() >= 2) {
-                Config a = base, b = base;
+                Trajectory a(fenwick, base), b(scan, base);
                 Rng rng_a(++seed), rng_b(seed);
                 std::uint64_t consumed_a = 0, consumed_b = 0;
                 const auto fired_a = fenwick.fired_step(a, rng_a, 64, &consumed_a);
                 const auto fired_b = scan.fired_step(b, rng_b, 64, &consumed_b);
                 ASSERT_EQ(fired_a, fired_b) << base.to_string(protocol.state_names());
                 ASSERT_EQ(consumed_a, consumed_b) << base.to_string(protocol.state_names());
-                ASSERT_TRUE(a == b) << base.to_string(protocol.state_names());
+                ASSERT_TRUE(a.config() == b.config()) << base.to_string(protocol.state_names());
                 ++checked;
             }
             counts[q] = 0;

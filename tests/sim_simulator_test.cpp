@@ -5,8 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <thread>
+#include <vector>
+
+#include "protocols/double_exp_threshold.hpp"
 #include "protocols/modulo.hpp"
 #include "protocols/threshold.hpp"
+#include "sim/checkpoint.hpp"
 #include "sim/experiment.hpp"
 #include "sim/stats.hpp"
 #include "verify/verifier.hpp"
@@ -29,11 +35,12 @@ TEST(Simulator, StepConservesAgents) {
     const Protocol p = protocols::collector_threshold(6);
     const Simulator sim(p);
     Rng rng(42);
-    Config config = p.initial_config(9);
+    Trajectory trajectory(sim, p.initial_config(9));
     for (int i = 0; i < 200; ++i) {
-        sim.step(config, rng);
-        EXPECT_EQ(config.size(), 9);
+        sim.step(trajectory, rng);
+        EXPECT_EQ(trajectory.config().size(), 9);
     }
+    EXPECT_EQ(trajectory.interactions(), 200u);
 }
 
 TEST(Simulator, ConvergesToAcceptAboveThreshold) {
@@ -127,6 +134,81 @@ TEST(Simulator, RejectsTooSmallPopulations) {
     const Simulator sim(p);
     Rng rng(1);
     EXPECT_THROW(sim.run(Config::single(p.num_states(), 0, 1), rng), std::invalid_argument);
+}
+
+TEST(Trajectory, ConfigurationsOverTheWrongStatesGetATypedError) {
+    // Every entry point that indexes the protocol's tables by the
+    // configuration's states checks the state count first: fewer and more
+    // states than the protocol has are caller errors, not internal bugs.
+    const Protocol p = protocols::collector_threshold(4);
+    const Simulator sim(p);
+    const std::size_t n = p.num_states();
+    for (const std::size_t states : {n - 1, n + 1, std::size_t{69}}) {
+        SCOPED_TRACE(states);
+        Config config(states);
+        for (std::size_t q = 0; q < states; ++q) config.set(static_cast<StateId>(q), 3);
+        Rng rng(1);
+        EXPECT_THROW(Trajectory(sim, config), std::invalid_argument);
+        EXPECT_THROW(sim.is_silent(config), std::invalid_argument);
+        EXPECT_THROW(sim.is_provably_stable(config), std::invalid_argument);
+        EXPECT_THROW(sim.run(config, rng), std::invalid_argument);
+        Config kept = config;
+        EXPECT_THROW(sim.run_batch(kept, rng, 100), std::invalid_argument);
+        EXPECT_EQ(kept, config);
+    }
+}
+
+TEST(Trajectory, IsAdvancedOnlyByItsOwnSimulator) {
+    const Protocol p = protocols::collector_threshold(4);
+    const Simulator sim(p), other(p);
+    Trajectory trajectory(sim, p.initial_config(8));
+    Rng rng(2);
+    RunOptions run;
+    run.budget = 10;
+    EXPECT_THROW(other.advance(trajectory, rng, run), std::invalid_argument);
+    EXPECT_THROW(other.step(trajectory, rng), std::invalid_argument);
+    EXPECT_EQ(sim.advance(trajectory, rng, run).interactions, 10u);
+}
+
+TEST(Trajectory, ConcurrentTrajectoriesOnOneSimulatorMatchSerial) {
+    // One shared, immutable Simulator; each thread owns its Trajectory and
+    // Rng and mixes every stepping entry point.  The results must equal the
+    // serial ones — nothing per-run lives in the Simulator.
+    const Protocol p = protocols::double_exp_threshold(3);
+    const Simulator sim(p, PairSelect::fenwick);
+    struct End {
+        std::uint64_t interactions = 0;
+        std::uint64_t fired = 0;
+        std::uint64_t rng_state = 0;
+        std::uint64_t digest = 0;
+        bool operator==(const End&) const = default;
+    };
+    const auto drive = [&sim, &p](std::uint64_t seed) {
+        Rng rng(seed);
+        Trajectory trajectory(sim, p.initial_config(2000 + static_cast<AgentCount>(seed)));
+        RunOptions run;
+        for (int round = 0; round < 20; ++round) {
+            run.budget = 5000;
+            run.step_mode = round % 2 == 0 ? StepMode::per_step : StepMode::epoch;
+            sim.advance(trajectory, rng, run);
+            for (int i = 0; i < 50; ++i) sim.step(trajectory, rng);
+            sim.fired_step(trajectory, rng, 1000);
+            sim.sample_pair(trajectory, rng);
+        }
+        return End{trajectory.interactions(), trajectory.fired(), rng.state(),
+                   config_digest(trajectory.config())};
+    };
+    constexpr std::size_t kThreads = 4;
+    std::array<End, kThreads> serial, threaded;
+    for (std::size_t i = 0; i < kThreads; ++i) serial[i] = drive(i + 1);
+    std::vector<std::thread> pool;
+    for (std::size_t i = 0; i < kThreads; ++i)
+        pool.emplace_back([&, i] { threaded[i] = drive(i + 1); });
+    for (std::thread& t : pool) t.join();
+    for (std::size_t i = 0; i < kThreads; ++i) {
+        EXPECT_GT(serial[i].fired, 0u);
+        EXPECT_TRUE(threaded[i] == serial[i]) << "thread " << i;
+    }
 }
 
 TEST(ConvergenceSweep, ProducesSaneRows) {

@@ -13,18 +13,25 @@
 //     convergence-time distributions, epoch vs. per-step, plus identical
 //     consensus verdicts;
 //   * structural consistency after epochs: the incremental weights, trap
-//     counters, and silence flags must equal a from-scratch rebuild.
+//     counters, and silence flags must equal a from-scratch rebuild;
+//   * fixed-seed smoke checks: binomial sampler moments (inversion and
+//     BTRS), the Fenwick multinomial split, epoch vs per-step mean
+//     convergence time, and fired accounting through e11_throughput_sweep.
 //
 // Everything is deterministically seeded via stat::derive_seed, so the
 // suite is flake-free at its fixed significance levels.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "protocols/double_exp_threshold.hpp"
+#include "sim/experiment.hpp"
 #include "sim/simulator.hpp"
+#include "support/fenwick.hpp"
 #include "support/stat_test.hpp"
 
 namespace ppsc {
@@ -65,6 +72,14 @@ CheckpointHook stop_after_first_boundary() {
     return {1, [](const CheckpointTick&) { return false; }};
 }
 
+/// Accumulates one trajectory's epoch counters into `total`.
+void add_stats(EpochStats& total, const EpochStats& more) {
+    total.epochs += more.epochs;
+    total.epoch_fired += more.epoch_fired;
+    total.fallback_fired += more.fallback_fired;
+    total.rejected_draws += more.rejected_draws;
+}
+
 /// Exact ordered pair weight of the probe's live pair (i, j) at `config`.
 double probe_weight(const Config& config, StateId si, StateId sj) {
     const auto ci = static_cast<double>(config[si]);
@@ -83,11 +98,14 @@ TEST(EpochEquivalence, SingleEpochFiringCountsPassChiSquaredAgainstTheMultinomia
     const std::vector<AgentCount> counts = {60, 30, 90, 20, 50};
     for (std::size_t q = 0; q < counts.size(); ++q) base.set(probe.live[q], counts[q]);
 
-    EpochOptions epoch;
-    epoch.min_firings = 2;
-    epoch.drift = 0.25;
     const CheckpointHook stop = stop_after_first_boundary();
-    sim.reset_epoch_stats();
+    RunOptions run;
+    run.budget = std::uint64_t{1} << 40;
+    run.hook = &stop;
+    run.step_mode = StepMode::epoch;
+    run.epoch.min_firings = 2;
+    run.epoch.drift = 0.25;
+    EpochStats stats;
 
     const int trials = 4'000;
     std::vector<std::uint64_t> observed;
@@ -104,15 +122,15 @@ TEST(EpochEquivalence, SingleEpochFiringCountsPassChiSquaredAgainstTheMultinomia
     Rng rng(stat::derive_seed(2025, "single-epoch-gof"));
     std::uint64_t k_first = 0;
     for (int t = 0; t < trials; ++t) {
-        Config config = base;
-        std::uint64_t fired = 0;
-        sim.run_batch(config, rng, std::uint64_t{1} << 40, false, &stop, &fired,
-                      StepMode::epoch, epoch);
+        Trajectory trajectory(sim, base);
+        const std::uint64_t fired = sim.advance(trajectory, rng, run).fired;
+        add_stats(stats, trajectory.epoch_stats());
+        const Config& config = trajectory.config();
         // The epoch length is a deterministic function of the (identical)
         // starting configuration — every trial draws the same k.
         if (t == 0) {
             k_first = fired;
-            ASSERT_GE(k_first, epoch.min_firings);
+            ASSERT_GE(k_first, run.epoch.min_firings);
         }
         ASSERT_EQ(fired, k_first) << "trial " << t;
         std::size_t cell = 0;
@@ -125,7 +143,6 @@ TEST(EpochEquivalence, SingleEpochFiringCountsPassChiSquaredAgainstTheMultinomia
             }
         }
     }
-    const EpochStats stats = sim.epoch_stats();
     EXPECT_EQ(stats.epochs, static_cast<std::uint64_t>(trials));
     EXPECT_EQ(stats.fallback_fired, 0u);
     EXPECT_EQ(stats.rejected_draws, 0u);
@@ -149,8 +166,8 @@ TEST(EpochEquivalence, ExhaustiveSmallConfigurationMomentChecks) {
     // states), so k is deterministic per configuration and the law exact.
     const PairProbe probe = make_pair_probe(4);
     const Simulator sim(probe.protocol, PairSelect::fenwick);
-    sim.reset_epoch_stats();
     const CheckpointHook stop = stop_after_first_boundary();
+    EpochStats stats;
 
     const int trials = 300;
     int tested_configs = 0;
@@ -174,10 +191,14 @@ TEST(EpochEquivalence, ExhaustiveSmallConfigurationMomentChecks) {
         }
         if (weights.size() < 2) return;
 
-        EpochOptions epoch;
-        epoch.min_firings = 1;
-        epoch.drift = 1.0;
-        epoch.max_firings = static_cast<std::uint64_t>(std::max<AgentCount>(min_live / 2, 1));
+        RunOptions run;
+        run.budget = std::uint64_t{1} << 40;
+        run.hook = &stop;
+        run.step_mode = StepMode::epoch;
+        run.epoch.min_firings = 1;
+        run.epoch.drift = 1.0;
+        run.epoch.max_firings =
+            static_cast<std::uint64_t>(std::max<AgentCount>(min_live / 2, 1));
 
         std::vector<std::uint64_t> sums;
         std::vector<double> active_weights;
@@ -185,10 +206,10 @@ TEST(EpochEquivalence, ExhaustiveSmallConfigurationMomentChecks) {
         std::uint64_t k_epoch = 0;
         Rng rng(stat::derive_seed(2026, "exhaustive-moments"));
         for (int t = 0; t < trials; ++t) {
-            Config config = base;
-            std::uint64_t fired = 0;
-            sim.run_batch(config, rng, std::uint64_t{1} << 40, false, &stop, &fired,
-                          StepMode::epoch, epoch);
+            Trajectory trajectory(sim, base);
+            const std::uint64_t fired = sim.advance(trajectory, rng, run).fired;
+            add_stats(stats, trajectory.epoch_stats());
+            const Config& config = trajectory.config();
             if (t == 0) {
                 k_epoch = fired;
                 ASSERT_GE(k_epoch, 1u);
@@ -277,7 +298,7 @@ TEST(EpochEquivalence, ExhaustiveSmallConfigurationMomentChecks) {
         ADD_FAILURE() << "multinomial GOF failed: X² = " << gof.statistic << " > "
                       << gof.critical << " (df " << gof.df << ")";
     }
-    EXPECT_EQ(sim.epoch_stats().rejected_draws, 0u)
+    EXPECT_EQ(stats.rejected_draws, 0u)
         << "the ⌊min/2⌋ clamp should make every draw feasible";
 }
 
@@ -293,7 +314,7 @@ TEST(EpochEquivalence, ConvergenceTimeDistributionsMatchThePerStepReference) {
     const int runs = 250;
     const double alpha = stat::bonferroni(1e-3, 3);
     std::vector<double> times[2];
-    sim.reset_epoch_stats();
+    EpochStats stats;
     for (int mode = 0; mode < 2; ++mode) {
         SimulationOptions options;
         options.max_interactions = std::uint64_t{1} << 32;
@@ -310,11 +331,11 @@ TEST(EpochEquivalence, ConvergenceTimeDistributionsMatchThePerStepReference) {
             ASSERT_GT(result.fired, 0u);
             ASSERT_LE(result.fired, result.interactions);
             times[mode].push_back(static_cast<double>(result.interactions));
+            add_stats(stats, result.epoch);
         }
     }
     // The epoch path must have actually served the bulk of the epoch-mode
     // firings — otherwise this test compares per-step with itself.
-    const EpochStats stats = sim.epoch_stats();
     ASSERT_GT(stats.epochs, 0u);
     ASSERT_GT(stats.epoch_fired, stats.fallback_fired);
 
@@ -332,35 +353,112 @@ TEST(EpochEquivalence, ConvergenceTimeDistributionsMatchThePerStepReference) {
 
 TEST(EpochEquivalence, StructuralConsistencyAfterEpochs) {
     // After a long epoch-mode run, the incrementally maintained state (W,
-    // trap counters, agent tree) must agree with a from-scratch rebuild on
-    // a fresh simulator — population conserved, silence and stability
-    // verdicts identical.
+    // trap counters, agent tree) must agree with a from-scratch rebuild —
+    // population conserved, silence and stability verdicts identical.
     const Protocol protocol = protocols::double_exp_threshold(2);
     const Simulator sim(protocol, PairSelect::fenwick);
     const AgentCount population = 50'000;
-    Config config = protocol.initial_config(population);
+    Trajectory trajectory(sim, protocol.initial_config(population));
     Rng rng(stat::derive_seed(2028, "structural"));
-    std::uint64_t fired = 0;
-    EpochOptions epoch;
-    epoch.min_firings = 8;
-    const std::uint64_t done = sim.run_batch(config, rng, std::uint64_t{1} << 28, true, nullptr,
-                                             &fired, StepMode::epoch, epoch);
+    RunOptions run;
+    run.budget = std::uint64_t{1} << 28;
+    run.stop_when_stable = true;
+    run.step_mode = StepMode::epoch;
+    run.epoch.min_firings = 8;
+    const std::uint64_t done = sim.advance(trajectory, rng, run).interactions;
     ASSERT_GT(done, 0u);
-    ASSERT_GT(sim.epoch_stats().epochs, 0u);
-    EXPECT_EQ(config.size(), population);  // agents are conserved exactly
+    ASSERT_GT(trajectory.epoch_stats().epochs, 0u);
+    EXPECT_EQ(trajectory.config().size(), population);  // agents are conserved exactly
 
-    // Cached-context probes (O(1) counters) vs. a fresh simulator's
-    // counts-based rescan of the same final configuration.
-    const Simulator fresh(protocol, PairSelect::fenwick);
-    const Config copy = config;
-    EXPECT_EQ(sim.is_silent(config), fresh.is_silent(copy));
-    EXPECT_EQ(sim.is_provably_stable(config), fresh.is_provably_stable(copy));
+    // Trajectory probes (O(1) counters) vs. the counts-based rescan of the
+    // same final configuration.
+    EXPECT_EQ(trajectory.silent(), sim.is_silent(trajectory.config()));
+    EXPECT_EQ(trajectory.provably_stable(), sim.is_provably_stable(trajectory.config()));
 
     // And the trajectory must still be continuable on the per-step path —
     // mixed-mode stepping shares one exact weight structure.
-    std::uint64_t more_fired = 0;
-    sim.run_batch(config, rng, 10'000, false, nullptr, &more_fired);
-    EXPECT_EQ(config.size(), population);
+    RunOptions per_step;
+    per_step.budget = 10'000;
+    sim.advance(trajectory, rng, per_step);
+    EXPECT_EQ(trajectory.config().size(), population);
+}
+
+TEST(EpochSmoke, SamplerMomentsAndTheMultinomialSplit) {
+    // Binomial via both algorithms (inversion and BTRS) and the Fenwick
+    // multinomial decomposition built on them: sample means within 5
+    // standard errors of the exact law at fixed seeds.
+    Rng rng(stat::derive_seed(0xE90C, "samplers"));
+    const int reps = 4'000;
+    double small_sum = 0.0, large_sum = 0.0;
+    for (int r = 0; r < reps; ++r) {
+        small_sum += static_cast<double>(rng.binomial(40, 0.2));        // inversion
+        large_sum += static_cast<double>(rng.binomial(100'000, 0.37));  // BTRS
+    }
+    const auto within = [&](double sum, double n, double p) {
+        const double se = std::sqrt(n * p * (1 - p) / reps);
+        return std::abs(sum / reps - n * p) < 5.0 * se;
+    };
+    EXPECT_TRUE(within(small_sum, 40, 0.2)) << "binomial inversion mean";
+    EXPECT_TRUE(within(large_sum, 100'000, 0.37)) << "binomial BTRS mean";
+
+    const std::vector<std::int64_t> weights = {60, 30, 90, 20, 50};
+    const FenwickTree tree{std::span<const std::int64_t>(weights)};
+    std::vector<std::uint64_t> counts(5, 0);
+    tree.multinomial(200'000, rng,
+                     [&](std::size_t index, std::uint64_t c) { counts[index] += c; });
+    std::uint64_t total = 0;
+    for (const std::uint64_t c : counts) total += c;
+    EXPECT_EQ(total, 200'000u) << "the multinomial split conserves the draw count";
+    const std::vector<double> expected(weights.begin(), weights.end());
+    const stat::GofResult gof = stat::chi_squared_gof(counts, expected);
+    EXPECT_TRUE(gof.pass) << "X² = " << gof.statistic << " > " << gof.critical;
+}
+
+TEST(EpochSmoke, EpochAndPerStepAgreeOnDoubleExpThreshold2) {
+    const Protocol p = protocols::double_exp_threshold(2);
+    const Simulator sim(p, PairSelect::fenwick);
+    const int runs = 60;
+    double mean[2] = {0.0, 0.0};
+    EpochStats stats;
+    for (int mode = 0; mode < 2; ++mode) {
+        Rng rng(stat::derive_seed(0xE90C, mode == 0 ? "ref" : "epoch"));
+        for (int r = 0; r < runs; ++r) {
+            SimulationOptions options;
+            options.max_interactions = std::uint64_t{1} << 32;
+            options.step_mode = mode == 0 ? StepMode::per_step : StepMode::epoch;
+            options.epoch.min_firings = 8;
+            const SimulationResult result = sim.run(p.initial_config(4096), rng, options);
+            EXPECT_TRUE(result.converged) << "mode " << mode << " run " << r;
+            EXPECT_EQ(result.output, 1) << "mode " << mode << " run " << r;  // 4096 >= 16
+            mean[mode] += static_cast<double>(result.interactions) / runs;
+            add_stats(stats, result.epoch);
+        }
+    }
+    // Distribution-level agreement: the two sample means differ by a few
+    // percent at these sample sizes; 15% catches a wrong epoch law without
+    // flaking (cf. BatchedRun tests, same tolerance rationale).
+    EXPECT_LT(std::abs(mean[1] / mean[0] - 1.0), 0.15)
+        << "mean interactions to convergence: per-step " << mean[0] << ", epoch " << mean[1];
+    EXPECT_GT(stats.epochs, 0u);
+    EXPECT_GT(stats.epoch_fired, stats.fallback_fired)
+        << "the epoch path must serve the bulk of the fired interactions";
+}
+
+TEST(EpochSmoke, E11SweepRowsKeepFiredAccountingUnderEpochStepping) {
+    E11Options tiny;
+    tiny.tower_ns = {4};
+    tiny.populations = {1 << 16};
+    tiny.interactions_per_row = 1 << 20;
+    tiny.step_mode = StepMode::epoch;
+    const auto rows = e11_throughput_sweep(tiny);
+    ASSERT_FALSE(rows.empty());
+    for (const ThroughputRow& row : rows) {
+        SCOPED_TRACE(row.protocol);
+        EXPECT_EQ(row.interactions, tiny.interactions_per_row);
+        EXPECT_GT(row.fired, 0u);
+        EXPECT_LE(row.fired, row.interactions);
+        EXPECT_GT(row.fired_per_sec, 0.0);
+    }
 }
 
 }  // namespace
