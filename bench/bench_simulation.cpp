@@ -34,6 +34,7 @@
 #include "analyze/analyze.hpp"
 #include "diophantine/realisable.hpp"
 #include "protocols/double_exp_threshold.hpp"
+#include "protocols/leader.hpp"
 #include "protocols/threshold.hpp"
 #include "reference/reference.hpp"
 #include "search/busy_beaver.hpp"
@@ -107,6 +108,30 @@ void BM_FullRunToConsensus(benchmark::State& state) {
     }
 }
 BENCHMARK(BM_FullRunToConsensus)->Arg(256)->Arg(1024);
+
+// Full runs to stable consensus on leader_threshold(η) at population 5η/4,
+// the `protocol_tool sweep` trial of the leader setting.  T has a
+// non-silent pair with every state and x with every counter state, but at
+// most four states are ever occupied: the row tracks what a count change
+// costs on such hub states.  fired_per_second counts fired interactions
+// only; the geometrically skipped silent encounters are not included.
+void BM_LeaderThresholdRun(benchmark::State& state) {
+    const AgentCount eta = state.range(0);
+    const Protocol protocol = protocols::leader_threshold(eta);
+    const Simulator simulator(protocol);
+    std::uint64_t seed = 1;
+    std::uint64_t fired = 0;
+    for (auto _ : state) {
+        Rng rng(seed++);
+        const SimulationResult result = simulator.run_input(eta + eta / 4, rng);
+        fired += result.fired;
+        benchmark::DoNotOptimize(result.interactions);
+    }
+    state.counters["fired_per_second"] =
+        benchmark::Counter(static_cast<double>(fired), benchmark::Counter::kIsRate);
+    state.SetLabel("fired_per_second: fired interactions only");
+}
+BENCHMARK(BM_LeaderThresholdRun)->Arg(200)->Arg(1000)->Unit(benchmark::kMillisecond);
 
 // The trial-parallel convergence sweep (one row, 8 trials).  Wall-clock
 // scales with the worker count on multi-core hosts; per-trial results do

@@ -158,9 +158,10 @@ public:
 
     /// CSR adjacency of the non-self "has a non-silent rule with" relation:
     /// for each partner p ≠ q of q, the PairId of {q, p}.  This is the
-    /// per-pair weight-delta table that lets a simulator keep a Fenwick tree
-    /// over ordered pair weights in sync in O(deg(q) · log #pairs) per count
-    /// change.
+    /// per-pair weight-delta table that lets a simulator keep its ordered
+    /// pair weights in sync per count change.  Under Fenwick pair selection
+    /// the simulator walks this list or its trajectory's support, whichever
+    /// is shorter, so a count change costs O(min(deg(q), |support|)).
     std::span<const PairNeighbor> pair_neighbors(StateId q) const {
         const auto i = static_cast<std::size_t>(q);
         PPSC_DASSERT(i + 1 < neighbor_offsets_.size());

@@ -174,6 +174,17 @@ void Simulator::init_context(Context<W>& ctx, const Config& config) const {
         }
         ctx.pair_tree.assign(ctx.pair_weights);
         ctx.tree_mirror = ctx.pair_weights;
+        // The support, maintained from here on by apply_count_delta;
+        // reserved to |Q| so its insertions never reallocate mid-run.
+        const auto& counts = config.counts();
+        ctx.support.clear();
+        ctx.support.reserve(counts.size());
+        ctx.support_slot.assign(counts.size(), 0);
+        for (std::size_t q = 0; q < counts.size(); ++q) {
+            if (counts[q] == 0) continue;
+            ctx.support_slot[q] = static_cast<std::uint32_t>(ctx.support.size());
+            ctx.support.push_back(static_cast<StateId>(q));
+        }
     } else {
         // Scan mode recomputes pair weights from the counts on selection;
         // only the total W is kept incrementally, through the partner-sum
@@ -229,37 +240,69 @@ void Simulator::flush_pair_tree(Context<W>& ctx) const {
 template <typename W>
 void Simulator::apply_count_delta(Context<W>& ctx, Config& config, StateId q,
                                   AgentCount delta) const {
+    const auto qi = static_cast<std::size_t>(q);
     const AgentCount before = config[q];
     config.add(q, delta);
-    ctx.agents.add(static_cast<std::size_t>(q), delta);
+    ctx.agents.add(qi, delta);
     // Outside-trap counters: one byte load resolves both traps.
-    if (const std::uint8_t outside = outside_mask_[static_cast<std::size_t>(q)]; outside != 0) {
+    if (const std::uint8_t outside = outside_mask_[qi]; outside != 0) {
         if (outside & 1u) ctx.outside_trap[0] += delta;
         if (outside & 2u) ctx.outside_trap[1] += delta;
     }
-    // Δ of c(c−1) for the self pair, 2·Δc·count(p) for each cross pair; the
-    // protocol's delta table lists exactly the affected PairIds.
+    // Δ of c(c−1) for the self pair (0 when the count moves between 0 and
+    // 1), 2·Δc·count(p) for each cross pair {q, p}.
+    const Protocol::PairId self = protocol_.self_pair(q);
+    const W self_delta = self == Protocol::kNoPair
+                             ? W{0}
+                             : static_cast<W>(delta) * (2 * static_cast<W>(before) + delta - 1);
     if (pair_select_ == PairSelect::fenwick) {
+        // Support: the count may cross 0 by any delta (epochs move many
+        // agents at once); leaving is a swap-remove through the slot index.
+        const AgentCount after = before + delta;
+        if (before == 0 && after != 0) {
+            ctx.support_slot[qi] = static_cast<std::uint32_t>(ctx.support.size());
+            ctx.support.push_back(q);
+        } else if (before != 0 && after == 0) {
+            const std::uint32_t slot = ctx.support_slot[qi];
+            const StateId last = ctx.support.back();
+            ctx.support[slot] = last;
+            ctx.support_slot[static_cast<std::size_t>(last)] = slot;
+            ctx.support.pop_back();
+        }
         // Exact per-pair weights; the tree mirror is only marked stale —
-        // see flush_pair_tree.
+        // see flush_pair_tree.  Zero deltas are never applied, so the dirty
+        // queue holds only real changes.
         const std::size_t queue_cap = ctx.pair_weights.size() / 8 + 16;
         const auto touch = [&ctx, queue_cap](Protocol::PairId id, W weight_delta) {
             ctx.active_weight += weight_delta;
             ctx.pair_weights[id] += weight_delta;
             if (ctx.dirty.size() < queue_cap) ctx.dirty.push_back(id);
         };
-        if (const Protocol::PairId self = protocol_.self_pair(q); self != Protocol::kNoPair)
-            touch(self, static_cast<W>(delta) * (2 * static_cast<W>(before) + delta - 1));
-        for (const Protocol::PairNeighbor& nb : protocol_.pair_neighbors(q))
-            touch(nb.pair, 2 * static_cast<W>(delta) * static_cast<W>(config[nb.partner]));
+        if (self_delta != 0) touch(self, self_delta);
+        // Only pairs with an occupied partner change weight: walk the
+        // support (one pair lookup per occupied state) or q's neighbour
+        // list (skipping empty partners), whichever is shorter.  Hub states
+        // of leader protocols pair with every state, yet only a handful are
+        // ever occupied.
+        const auto neighbors = protocol_.pair_neighbors(q);
+        if (ctx.support.size() < neighbors.size()) {
+            for (const StateId s : ctx.support) {
+                if (s == q) continue;
+                if (const Protocol::PairId id = protocol_.pair_id(q, s); id != Protocol::kNoPair)
+                    touch(id, 2 * static_cast<W>(delta) * static_cast<W>(config[s]));
+            }
+        } else {
+            for (const Protocol::PairNeighbor& nb : neighbors) {
+                if (const AgentCount c = config[nb.partner]; c != 0)
+                    touch(nb.pair, 2 * static_cast<W>(delta) * static_cast<W>(c));
+            }
+        }
     } else {
         // Scan mode: total W only, via the partner sums (one multiply per
-        // count change + O(deg) array adds).
-        if (protocol_.self_pair(q) != Protocol::kNoPair)
-            ctx.active_weight +=
-                static_cast<W>(delta) * (2 * static_cast<W>(before) + delta - 1);
-        ctx.active_weight += 2 * static_cast<W>(delta) *
-                             static_cast<W>(ctx.partner_weight[static_cast<std::size_t>(q)]);
+        // count change + O(deg) array adds; scan mode serves protocols
+        // with few non-silent pairs, so deg is small).
+        ctx.active_weight += self_delta + 2 * static_cast<W>(delta) *
+                                              static_cast<W>(ctx.partner_weight[qi]);
         for (const Protocol::PairNeighbor& nb : protocol_.pair_neighbors(q))
             ctx.partner_weight[static_cast<std::size_t>(nb.partner)] += delta;
     }

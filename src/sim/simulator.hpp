@@ -12,10 +12,17 @@
 //   2. Incremental silence detection: the engine maintains W = the number
 //      of *ordered agent pairs* whose state pair enables a non-silent
 //      transition.  W = 0 ⟺ the configuration is silent, so silence is
-//      detected exactly and in O(1).  The weight arithmetic is templated on
-//      the population scale: int64 while n(n−1) fits (n ≤ 2³¹ agents),
-//      128-bit beyond — populations past 2³¹ take the same fast path as
-//      small ones instead of falling back to per-encounter stepping.
+//      detected exactly and in O(1).  A count change of state q moves W by
+//      terms over q's *occupied* partners only, found through the
+//      trajectory's support list or q's neighbour list, whichever is
+//      shorter — O(min(deg(q), |support|)), so the hub states of leader
+//      protocols (a non-silent pair with every state, a handful of states
+//      ever occupied) cost O(|support|).  (Scan mode, kept for protocols
+//      with few non-silent pairs, keeps O(deg) partner sums instead.)  The
+//      weight arithmetic is templated on the population scale: int64 while
+//      n(n−1) fits (n ≤ 2³¹ agents), 128-bit beyond — populations past 2³¹
+//      take the same fast path as small ones instead of falling back to
+//      per-encounter stepping.
 //   3. Rejection-free batching: when W is small relative to the n(n−1)
 //      ordered pairs, the number of consecutive silent encounters is
 //      geometrically distributed — advance() samples it in one shot
@@ -30,8 +37,9 @@
 //      O(#pairs) scan the engine used before, which dominated protocols
 //      with many non-silent pairs (the double-exponential threshold
 //      workload has millions), while dense-regime stepping keeps its
-//      O(deg) cost.  Protocols with only a handful of non-silent pairs
-//      stay on the (there faster) scan automatically.
+//      O(min(deg, |support|)) cost per count change.  Protocols with only
+//      a handful of non-silent pairs stay on the (there faster) scan
+//      automatically.
 //   5. Epoch-batched stepping (StepMode::epoch, opt-in): when the
 //      pair-weight structure drifts slowly — the dense merge phases of the
 //      E11 double-exponential workloads — k fired steps are drawn as ONE
@@ -265,11 +273,12 @@ namespace detail {
 ///
 /// The ordered pair weights (c(c−1) for self pairs, 2·c_p·c_q
 /// otherwise, by PairId) live in two layers: `pair_weights` and
-/// `active_weight` are exact after every count change at O(deg) array
-/// cost, while the Fenwick `pair_tree` used for O(log #pairs)
-/// fired-pair selection is a *lazy mirror*, flushed (or rebuilt, when
-/// cheaper) only when a sparse-regime selection actually needs it —
-/// dense-regime stepping never pays tree maintenance.
+/// `active_weight` are exact after every count change at
+/// O(min(deg, |support|)) array cost — only pairs with an occupied partner
+/// change, found through `support` — while the Fenwick `pair_tree` used
+/// for O(log #pairs) fired-pair selection is a *lazy mirror*, flushed (or
+/// rebuilt, when cheaper) only when a sparse-regime selection actually
+/// needs it — dense-regime stepping never pays tree maintenance.
 template <typename Weight>
 struct StepContext {
     FenwickTree agents;  ///< Fenwick tree over the count vector
@@ -282,6 +291,13 @@ struct StepContext {
     /// whole tree instead, so the queue — and per-update work — stays
     /// bounded through arbitrarily long dense phases.
     std::vector<Protocol::PairId> dirty;
+    /// Fenwick mode only: the support — every state holding agents, in no
+    /// particular order — and each occupied state's slot in it (stale for
+    /// empty states), for O(1) insert and swap-remove when a count crosses
+    /// 0.  Count changes visit a state's occupied partners through this
+    /// list or its neighbour list, whichever is shorter.
+    std::vector<StateId> support;
+    std::vector<std::uint32_t> support_slot;
     /// Scan mode only: partner_weight[q] = Σ counts[p] over non-self
     /// non-silent partners p of q, which maintains active_weight with a
     /// single multiply per count change instead of per-pair products
@@ -447,9 +463,12 @@ private:
     template <typename W>
     void init_context(Context<W>& ctx, const Config& config) const;
 
-    /// Adds `delta` agents to state q, keeping the agent tree and the exact
-    /// pair-weight layer in sync (O(deg(q)) via the protocol's per-pair
-    /// delta table; the pair tree is only marked stale).
+    /// Adds `delta` agents to state q, keeping the agent tree, the support
+    /// and the exact pair-weight layer in sync in O(min(deg(q), |support|)):
+    /// only the pairs of q with an occupied partner change, found through
+    /// the support or the protocol's per-pair delta table, whichever is
+    /// shorter (the pair tree is only marked stale).  Scan mode updates its
+    /// partner sums instead, in O(deg(q)).
     template <typename W>
     void apply_count_delta(Context<W>& ctx, Config& config, StateId q, AgentCount delta) const;
     template <typename W>
