@@ -11,18 +11,15 @@
 // The analysis layers have one production path each; their `BM_*Reference`
 // rows time the seed-era formulations kept as test oracles in
 // tests/reference/ (the ppsc_reference library this binary links), so each
-// row pair keeps showing what the production path buys.
+// row pair keeps showing what the production path buys.  The rows that
+// compare the two fired-step pair-selection lanes on one protocol force a
+// lane through the same library's EngineSeam; every other row runs the
+// lane and rule table the protocol picks.
 //
 // Flags (after the --benchmark_* flags):
 //   --skip-sweeps  omits the E10/E11 sweep tables (used by
 //                  bench/run_benchmarks.sh, which only wants the JSON
-//                  microbenchmark numbers);
-//   --e11-smoke    runs only a tiny E11 workload end to end (family
-//                  correctness in randomized simulation, both fired-step
-//                  selection paths, and the forced-sparse rule table) and
-//                  exits non-zero on failure — the CI smoke entry point
-//                  (its job builds with tests off, so it cannot live in
-//                  ctest).
+//                  microbenchmark numbers).
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -36,6 +33,7 @@
 #include "protocols/double_exp_threshold.hpp"
 #include "protocols/leader.hpp"
 #include "protocols/threshold.hpp"
+#include "reference/engine_seam.hpp"
 #include "reference/reference.hpp"
 #include "search/busy_beaver.hpp"
 #include "sim/checkpoint.hpp"
@@ -190,9 +188,8 @@ BENCHMARK(BM_E11MergePhase)->Args({8, 1 << 12})->Args({10, 1 << 14});
 // non-silent pair list — the worst case for the O(#pairs) reference scan
 // and the regime the O(log #pairs) pair-weight Fenwick exists for.
 void e11_fired_step_bench(benchmark::State& state, const Protocol& protocol,
-                          PairSelect select) {
+                          const Simulator& simulator) {
     const auto population = static_cast<AgentCount>(state.range(1));
-    const Simulator simulator(protocol, select);
     const StateId top = *protocol.find_state("T");
     const StateId t0 = protocol.input_state(0);
     const AgentCount stragglers = population / 32;
@@ -216,13 +213,15 @@ void e11_fired_step_bench(benchmark::State& state, const Protocol& protocol,
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(fired));
 }
+void e11_forced_lane_bench(benchmark::State& state, reference::PairSelect lane) {
+    const Protocol& protocol = e11_dense_protocol(static_cast<int>(state.range(0)));
+    e11_fired_step_bench(state, protocol, reference::EngineSeam::simulator(protocol, lane));
+}
 void BM_E11FiredStepFenwick(benchmark::State& state) {
-    e11_fired_step_bench(state, e11_dense_protocol(static_cast<int>(state.range(0))),
-                         PairSelect::fenwick);
+    e11_forced_lane_bench(state, reference::PairSelect::fenwick);
 }
 void BM_E11FiredStepScan(benchmark::State& state) {
-    e11_fired_step_bench(state, e11_dense_protocol(static_cast<int>(state.range(0))),
-                         PairSelect::scan);
+    e11_forced_lane_bench(state, reference::PairSelect::scan);
 }
 BENCHMARK(BM_E11FiredStepFenwick)->Args({8, 1 << 12})->Args({10, 1 << 14});
 BENCHMARK(BM_E11FiredStepScan)->Args({8, 1 << 12})->Args({10, 1 << 14});
@@ -234,7 +233,7 @@ BENCHMARK(BM_E11FiredStepScan)->Args({8, 1 << 12})->Args({10, 1 << 14});
 void BM_E11FiredStepFlagship(benchmark::State& state) {
     const Protocol& protocol = e11_flagship_protocol(static_cast<int>(state.range(0)));
     state.SetLabel(protocol.rule_table() == RuleTable::sparse ? "sparse" : "dense");
-    e11_fired_step_bench(state, protocol, PairSelect::automatic);
+    e11_fired_step_bench(state, protocol, Simulator(protocol));
 }
 BENCHMARK(BM_E11FiredStepFlagship)->Args({10, 1 << 14})->Args({13, 1 << 14});
 
@@ -249,7 +248,8 @@ void e11_fired_throughput_bench(benchmark::State& state, StepMode mode) {
     const int n = static_cast<int>(state.range(0));
     const AgentCount population = AgentCount{1} << static_cast<int>(state.range(1));
     const Protocol& protocol = e11_flagship_protocol(n);
-    const Simulator simulator(protocol, PairSelect::fenwick);
+    const Simulator simulator =
+        reference::EngineSeam::simulator(protocol, reference::PairSelect::fenwick);
     Trajectory trajectory(simulator, protocol.initial_config(population));
     Rng rng(7);
     // Interactions (fired + skipped) per call; epoch calls cover it in a
@@ -640,104 +640,9 @@ void BM_StaticInvariants(benchmark::State& state) {
 }
 BENCHMARK(BM_StaticInvariants)->Arg(17)->Unit(benchmark::kMillisecond);
 
-// Tiny end-to-end run of the E11 workload: the family must decide its
-// predicate in randomized simulation, and both fired-step selection paths
-// must complete their interaction budget.  Exits non-zero on any failure so
-// CI catches a rotten workload.
-int run_e11_smoke() {
-    bool ok = true;
-    const auto check = [&ok](bool condition, const char* what) {
-        std::printf("  %-60s %s\n", what, condition ? "ok" : "FAIL");
-        ok = ok && condition;
-    };
-
-    std::printf("E11 smoke: double_exp_threshold(2), eta = 2^2^2 = 16\n");
-    {
-        const Protocol p = protocols::double_exp_threshold(2);
-        check(p.num_states() == (1u << 2) + 3, "|Q| = 2^n + 3");
-        ConvergenceSweepOptions options;
-        options.runs_per_size = 4;
-        const auto rows = convergence_sweep(
-            p, {12, 16, 24, 40}, [](AgentCount i) { return i >= 16 ? 1 : 0; }, options);
-        for (const ConvergenceRow& row : rows) {
-            char what[96];
-            std::snprintf(what, sizeof what,
-                          "population %lld: all runs converge to [x >= 16](x)",
-                          static_cast<long long>(row.population));
-            check(row.converged_runs == row.runs && row.correct_fraction == 1.0, what);
-        }
-    }
-    std::printf("E11 smoke: double_exp_threshold_dense(2), eta = 2^2^2 - 1 = 15\n");
-    {
-        const Protocol p = protocols::double_exp_threshold_dense(2);
-        ConvergenceSweepOptions options;
-        options.runs_per_size = 4;
-        const auto rows = convergence_sweep(
-            p, {10, 15, 30}, [](AgentCount i) { return i >= 15 ? 1 : 0; }, options);
-        for (const ConvergenceRow& row : rows) {
-            char what[96];
-            std::snprintf(what, sizeof what,
-                          "population %lld: all runs converge to [x >= 15](x)",
-                          static_cast<long long>(row.population));
-            check(row.converged_runs == row.runs && row.correct_fraction == 1.0, what);
-        }
-    }
-    std::printf("E11 smoke: throughput sweep, both fired-step selection paths\n");
-    for (const PairSelect select : {PairSelect::fenwick, PairSelect::scan}) {
-        E11Options tiny;
-        tiny.tower_ns = {4};
-        tiny.populations = {512};
-        tiny.interactions_per_row = 1 << 16;
-        tiny.selection = select;
-        const auto rows = e11_throughput_sweep(tiny);
-        const char* label =
-            select == PairSelect::fenwick ? "fenwick rows complete" : "scan rows complete";
-        bool complete = !rows.empty();
-        for (const ThroughputRow& row : rows)
-            complete = complete && row.interactions == tiny.interactions_per_row;
-        check(complete, label);
-    }
-    std::printf("E11 smoke: sparse rule table forced on every instance\n");
-    {
-        E11Options tiny;
-        tiny.tower_ns = {4};
-        tiny.populations = {512};
-        tiny.interactions_per_row = 1 << 16;
-        tiny.rule_table = RuleTable::sparse;
-        const auto rows = e11_throughput_sweep(tiny);
-        bool complete = !rows.empty();
-        for (const ThroughputRow& row : rows) {
-            complete = complete && row.interactions == tiny.interactions_per_row &&
-                       row.rule_table == "sparse";
-        }
-        check(complete, "forced-sparse rows complete");
-
-        // Dense and sparse lookups must drive byte-identical trajectories.
-        const Protocol dense =
-            protocols::double_exp_threshold(4).with_rule_table(RuleTable::dense);
-        const Protocol sparse = dense.with_rule_table(RuleTable::sparse);
-        const Simulator sim_dense(dense), sim_sparse(sparse);
-        bool identical = true;
-        for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-            Config a = dense.initial_config(512), b = sparse.initial_config(512);
-            Rng rng_a(seed), rng_b(seed);
-            identical = identical &&
-                        sim_dense.run_batch(a, rng_a, 1 << 14) ==
-                            sim_sparse.run_batch(b, rng_b, 1 << 14) &&
-                        a == b;
-        }
-        check(identical, "dense/sparse trajectories identical per seed");
-    }
-    std::printf("E11 smoke: %s\n", ok ? "PASS" : "FAIL");
-    return ok ? 0 : 1;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--e11-smoke") == 0) return run_e11_smoke();
-    }
     benchmark::Initialize(&argc, argv);
     bool skip_sweeps = false;
     for (int i = 1; i < argc; ++i) {
@@ -808,9 +713,10 @@ int main(int argc, char** argv) {
                     static_cast<long long>(row.population), row.interactions_per_sec);
     }
     std::printf("\nshape: |Q| grows geometrically with n while throughput stays within a\n"
-                "small factor — fired-step work is O(log #pairs) via the pair-weight\n"
-                "Fenwick tree (the BM_E11FiredStep* microbenchmarks above isolate the\n"
-                "selection step against the O(#pairs) reference scan).  Rule-table\n"
+                "small factor — from 256 non-silent pairs up fired-step work is\n"
+                "O(log #pairs) via the pair-weight Fenwick tree, below that the\n"
+                "cumulative scan is cheaper (the BM_E11FiredStep* microbenchmarks above\n"
+                "isolate the selection step on both lanes).  Rule-table\n"
                 "memory switches from Θ(|Q|²) (dense) to Θ(#non-silent pairs) (sparse)\n"
                 "past ~4k states, which is what admits the n = 13 flagship rows, and\n"
                 "trap setup stays O(|T|) via the worklist fixpoint (trap setup s\n"

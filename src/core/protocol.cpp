@@ -27,8 +27,6 @@ std::size_t Protocol::pair_index(StateId p, StateId q) noexcept {
 void Protocol::build_pair_lookup(RuleTable kind) {
     const std::size_t n = names_.size();
     const std::size_t num_pairs = n * (n + 1) / 2;
-    if (kind == RuleTable::automatic)
-        kind = num_pairs <= kDenseRuleTablePairCap ? RuleTable::dense : RuleTable::sparse;
     rule_table_ = kind;
     if (kind == RuleTable::dense) {
         sparse_pair_to_id_ = DenseIndexMap();
@@ -55,12 +53,6 @@ std::size_t Protocol::rule_table_bytes() const noexcept {
                                    ? dense_pair_to_id_.capacity() * sizeof(PairId)
                                    : sparse_pair_to_id_.memory_bytes();
     return shared + lookup;
-}
-
-Protocol Protocol::with_rule_table(RuleTable kind) const {
-    Protocol copy = *this;
-    copy.build_pair_lookup(kind);
-    return copy;
 }
 
 std::optional<StateId> Protocol::find_state(std::string_view name) const {
@@ -313,7 +305,8 @@ Protocol ProtocolBuilder::build() && {
             static_cast<TransitionId>(i);
     }
 
-    p.build_pair_lookup(rule_table_);
+    p.build_pair_lookup(n * (n + 1) / 2 <= kDenseRuleTablePairCap ? RuleTable::dense
+                                                                  : RuleTable::sparse);
 
     p.neighbor_offsets_.assign(n + 1, 0);
     for (std::size_t q = 0; q < n; ++q)

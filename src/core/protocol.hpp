@@ -57,17 +57,24 @@ using TransitionId = std::int32_t;
 ///            memory; unlocks |Q| ≥ 10⁵ for rule-sparse protocols (the
 ///            flagship double-exponential family has Θ(|Q|) rules).
 ///
-/// `automatic` (the default) picks dense below kDenseRuleTablePairCap
-/// triangular pairs and sparse above.  Both representations expose
-/// identical lookups over identical PairIds, so everything downstream —
-/// simulators included — behaves identically per seed.
-enum class RuleTable { automatic, dense, sparse };
+/// The protocol picks its own: dense up to kDenseRuleTablePairCap
+/// triangular pairs, sparse above.  Both representations expose identical
+/// lookups over identical PairIds, so everything downstream — simulators
+/// included — behaves identically per seed; forcing the other one is a
+/// test need, served by reference::EngineSeam in tests/reference/.  The
+/// values are explicit because protocol_fingerprint (sim/checkpoint.hpp)
+/// mixes them into checkpoint files.
+enum class RuleTable { dense = 1, sparse = 2 };
 
-/// Triangular-pair-count threshold for RuleTable::automatic: 2²³ pairs keep
+/// Triangular-pair-count threshold of the rule-table choice: 2²³ pairs keep
 /// the dense array at 32 MiB (4 bytes per pair), i.e. dense up to |Q| ≈ 4095.
 inline constexpr std::size_t kDenseRuleTablePairCap = std::size_t{1} << 23;
 
 class ProtocolBuilder;
+
+namespace reference {
+struct EngineSeam;
+}
 
 class Protocol {
 public:
@@ -126,7 +133,7 @@ public:
     /// True iff {p,q} has no non-silent rule.  O(1).
     bool pair_is_silent(StateId p, StateId q) const { return pair_id(p, q) == kNoPair; }
 
-    /// The rule-table representation in use (automatic already resolved).
+    /// The rule-table representation in use.
     RuleTable rule_table() const noexcept { return rule_table_; }
 
     /// Heap bytes held by the pair → rules lookup structures (the dense
@@ -134,11 +141,6 @@ public:
     /// CSR) — the quantity the sparse representation shrinks from Θ(|Q|²)
     /// to Θ(#non-silent pairs).
     std::size_t rule_table_bytes() const noexcept;
-
-    /// A copy of this protocol with the pair → rules lookup rebuilt in the
-    /// requested representation (automatic re-resolves by size).  PairIds,
-    /// rule order, and therefore all simulation trajectories are unchanged.
-    Protocol with_rule_table(RuleTable kind) const;
 
     /// The distinct non-silent unordered pre-pairs {p, q} (canonical p ≤ q),
     /// in a stable order — the index of a pair in this span is its PairId.
@@ -228,6 +230,7 @@ public:
 
 private:
     friend class ProtocolBuilder;
+    friend struct reference::EngineSeam;
     Protocol() : leaders_(0) {}
 
     static std::size_t pair_index(StateId p, StateId q) noexcept;
@@ -239,7 +242,7 @@ private:
     }
 
     /// (Re)builds the pair → PairId lookup from nonsilent_pairs_ in the
-    /// requested representation; `automatic` resolves by triangular size.
+    /// requested representation.
     void build_pair_lookup(RuleTable kind);
 
     std::vector<std::string> names_;
@@ -303,10 +306,6 @@ public:
     /// Adds `count` leader agents in `state`.
     void add_leaders(StateId state, AgentCount count);
 
-    /// Chooses the pair → rules lookup representation of the built
-    /// protocol (default: automatic, resolved by |Q|).
-    void set_rule_table(RuleTable kind) noexcept { rule_table_ = kind; }
-
     std::size_t num_states() const noexcept { return names_.size(); }
     std::size_t num_transitions() const noexcept { return transitions_.size(); }
 
@@ -338,7 +337,6 @@ private:
     std::vector<StateId> input_states_;
     std::vector<std::pair<StateId, AgentCount>> leaders_;
     std::unordered_map<std::string, StateId> name_to_state_;
-    RuleTable rule_table_ = RuleTable::automatic;
 };
 
 }  // namespace ppsc

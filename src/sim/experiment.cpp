@@ -173,12 +173,8 @@ std::vector<ThroughputRow> e11_throughput_sweep(const E11Options& options) {
             variants.push_back({"double_exp_dense(" + std::to_string(n) + ")",
                                 protocols::double_exp_threshold_dense(n)});
         }
-        if (options.rule_table != RuleTable::automatic) {
-            for (Variant& variant : variants)
-                variant.protocol = variant.protocol.with_rule_table(options.rule_table);
-        }
         for (const Variant& variant : variants) {
-            const Simulator simulator(variant.protocol, options.selection);
+            const Simulator simulator(variant.protocol);
             for (const AgentCount population : options.populations) {
                 Rng rng(options.seed ^ (row_index++ << 32));
                 const auto start = std::chrono::steady_clock::now();

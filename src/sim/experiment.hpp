@@ -83,7 +83,7 @@ struct ThroughputRow {
     std::string protocol;             ///< family instance, e.g. "double_exp(8)"
     std::size_t num_states = 0;
     std::size_t nonsilent_pairs = 0;
-    std::string rule_table;           ///< "dense" or "sparse" (resolved kind)
+    std::string rule_table;           ///< "dense" or "sparse" (Protocol::rule_table())
     std::size_t rule_table_bytes = 0; ///< Protocol::rule_table_bytes()
     /// Seconds the row's Simulator spent computing its output traps — the
     /// stable-consensus setup cost the worklist fixpoint collapses from
@@ -116,20 +116,14 @@ struct E11Options {
     /// the flagship-only n ≥ 13 rows (sparse rule table, |Q| > 8000)
     /// worth sweeping separately.
     int max_dense_n = 10;
-    /// Fired-step pair selection of the simulators driven by the sweep —
-    /// sweeping both values benchmarks the pair-weight Fenwick against the
-    /// reference scan on identical trajectories.
-    PairSelect selection = PairSelect::fenwick;
-    /// Rule-table representation of the swept protocols: `automatic` (the
-    /// default) resolves per instance; forcing `sparse` runs every row —
-    /// small instances included — through the hash-table lookup, which is
-    /// how the CI smoke covers the sparse path end to end.
-    RuleTable rule_table = RuleTable::automatic;
     /// Stepping mode of the swept simulators: `epoch` batches the fired
     /// interactions of the merge frontier into multinomial draws
     /// (sim/simulator.hpp, engine idea 5), which is what pushes the n ≥ 2⁴⁰
-    /// flagship rows past 10⁹ fired interactions per second.  Requires
-    /// `selection == fenwick` to engage; otherwise it degrades to per_step.
+    /// flagship rows past 10⁹ fired interactions per second.  Each row's
+    /// protocol picks its own pair-selection lane and rule table, and
+    /// epochs engage only on the Fenwick lane: rows with fewer than
+    /// kFenwickPairThreshold non-silent pairs (double_exp(n) for n ≤ 6,
+    /// double_exp_dense(n) for n ≤ 3) run per-step.
     StepMode step_mode = StepMode::per_step;
     EpochOptions epoch;
 };

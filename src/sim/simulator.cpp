@@ -11,6 +11,8 @@
 
 namespace ppsc {
 
+using detail::PairSelect;
+
 namespace {
 
 /// The scheduler resolves transition nondeterminism uniformly.
@@ -27,11 +29,6 @@ W pair_weight(const Config& config, StateId a, StateId b) {
     const auto ca = static_cast<W>(config[a]);
     return a == b ? ca * (ca - 1) : 2 * ca * static_cast<W>(config[b]);
 }
-
-/// Below this many non-silent pairs the cumulative scan beats the Fenwick
-/// tree (no flush, no mirror, near-sequential memory) — measured on the
-/// E10 collector workloads; the break-even sits well under a thousand.
-constexpr std::size_t kFenwickPairThreshold = 256;
 
 /// Pair weights fit int64 exactly when n(n−1) does: n ≤ 2³¹ agents.
 bool pairs_fit_int64(AgentCount population) noexcept {
@@ -78,17 +75,17 @@ bool Trajectory::provably_stable() const {
     return std::visit([](const auto& ctx) { return ctx.provably_stable(); }, context_);
 }
 
+// The lane is keyed on the PairId universe (#non-silent pairs), not on
+// |Q|² — so it resolves identically under the dense and the sparse rule
+// table, and a sparse-table protocol with |Q| ≥ 10⁵ but a handful of
+// rule-bearing pairs still gets the cheaper scan.
+Simulator::Simulator(const Protocol& protocol)
+    : Simulator(protocol, protocol.nonsilent_pairs().size() >= kFenwickPairThreshold
+                              ? PairSelect::fenwick
+                              : PairSelect::scan) {}
+
 Simulator::Simulator(const Protocol& protocol, PairSelect pair_select)
     : protocol_(protocol), pair_select_(pair_select) {
-    if (pair_select_ == PairSelect::automatic) {
-        // The heuristic is keyed on the PairId universe (#non-silent pairs),
-        // not on |Q|² — so it resolves identically under the dense and the
-        // sparse rule table, and a sparse-table protocol with |Q| ≥ 10⁵ but
-        // a handful of rule-bearing pairs still gets the cheaper scan.
-        pair_select_ = protocol_.nonsilent_pairs().size() >= kFenwickPairThreshold
-                           ? PairSelect::fenwick
-                           : PairSelect::scan;
-    }
     compute_output_traps();
 }
 

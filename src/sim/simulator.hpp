@@ -37,9 +37,11 @@
 //      O(#pairs) scan the engine used before, which dominated protocols
 //      with many non-silent pairs (the double-exponential threshold
 //      workload has millions), while dense-regime stepping keeps its
-//      O(min(deg, |support|)) cost per count change.  Protocols with only
-//      a handful of non-silent pairs stay on the (there faster) scan
-//      automatically.
+//      O(min(deg, |support|)) cost per count change.  The protocol picks
+//      the lane, with no option: Fenwick from kFenwickPairThreshold
+//      non-silent pairs up, the (there faster) O(#pairs) scan below.  Both
+//      lanes give identical trajectories per seed; only tests force one
+//      (reference::EngineSeam in tests/reference/).
 //   5. Epoch-batched stepping (StepMode::epoch, opt-in): when the
 //      pair-weight structure drifts slowly — the dense merge phases of the
 //      E11 double-exponential workloads — k fired steps are drawn as ONE
@@ -53,14 +55,18 @@
 //      of its count (EpochOptions::drift), infeasible draws are rejected
 //      and retried at half the length, and the engine falls back to the
 //      exact per-step reference path whenever an epoch is not profitable.
-//      Equivalence is established statistically (chi-squared on firing
-//      counts, two-sample tests on convergence times — see
-//      tests/support_stats/ and docs/ARCHITECTURE.md).
+//      Epochs need the exact per-pair weights only the Fenwick lane keeps:
+//      below kFenwickPairThreshold non-silent pairs epoch mode runs
+//      per-step throughout (EpochStats::epochs == 0).  Equivalence is
+//      established statistically (chi-squared on firing counts,
+//      two-sample tests on convergence times — see tests/support_stats/
+//      and docs/ARCHITECTURE.md).
 //
 // All encounter resolution goes through Protocol::pair_id — PairIds over
 // the non-silent pairs only — so the engine is agnostic to the protocol's
-// rule-table representation (dense triangular array vs. the sparse hash
-// table that unlocks |Q| ≥ 10⁵; see RuleTable in core/protocol.hpp) and
+// rule-table representation (dense triangular array up to
+// kDenseRuleTablePairCap triangular pairs, the sparse hash table that
+// unlocks |Q| ≥ 10⁵ above; see RuleTable in core/protocol.hpp) and
 // produces identical per-seed trajectories under either.
 //
 // Convergence detection.  True stabilisation ("no reachable configuration
@@ -204,6 +210,9 @@ struct SimulationOptions {
     /// initial_fired).
     CheckpointHook checkpoint;
     /// Exact per-step reference vs. epoch-batched stepping (see StepMode).
+    /// Epochs engage only on the Fenwick lane (protocols with at least
+    /// kFenwickPairThreshold non-silent pairs); below it the run is
+    /// per-step and SimulationResult::epoch reports 0 epochs.
     StepMode step_mode = StepMode::per_step;
     /// Epoch tuning, read only when step_mode == StepMode::epoch.
     EpochOptions epoch;
@@ -231,8 +240,9 @@ struct RunOptions {
     /// step that made a stop_when_stable call provably stable.
     const CheckpointHook* hook = nullptr;
     /// Exact per-step reference vs. epoch-batched stepping (see StepMode).
-    /// Epoch mode needs Fenwick pair selection and degrades to per-step
-    /// under the scan.
+    /// Epochs engage only on the Fenwick lane (protocols with at least
+    /// kFenwickPairThreshold non-silent pairs); below it every fired step
+    /// takes the per-step path and EpochStats::epochs stays 0.
     StepMode step_mode = StepMode::per_step;
     /// Epoch tuning, read only when step_mode == StepMode::epoch.
     EpochOptions epoch;
@@ -253,18 +263,21 @@ struct RunReport {
     StopReason stop = StopReason::budget;
 };
 
-/// How the interacting pair of a fired step is selected.  `fenwick` draws
-/// from the pair-weight Fenwick tree (O(log #pairs)); `scan` is the
-/// reference O(#pairs) cumulative scan, kept for equivalence tests and
-/// benchmarks — and genuinely faster on protocols with only a handful of
-/// non-silent pairs, which is what `automatic` (the default) picks it for.
-/// All modes consume the same random draw and select over the same weights
-/// in the same order, so trajectories are identical per seed.
-enum class PairSelect { automatic, fenwick, scan };
+/// Non-silent pair count from which a Simulator selects fired pairs through
+/// the pair-weight Fenwick tree; below it the cumulative scan is faster
+/// (break-even well under a thousand on the E10 collector workloads).
+inline constexpr std::size_t kFenwickPairThreshold = 256;
 
 class Simulator;
 
+namespace reference {
+struct EngineSeam;
+}
+
 namespace detail {
+
+/// The fired-step pair-selection lane a Simulator picked from its protocol.
+enum class PairSelect { fenwick, scan };
 
 /// A Trajectory's incremental sampler state, templated on the pair weight
 /// type: int64 while every ordered pair weight fits (populations ≤ 2³¹
@@ -373,11 +386,8 @@ private:
 /// construction and freely shared between threads.
 class Simulator {
 public:
-    explicit Simulator(const Protocol& protocol,
-                       PairSelect pair_select = PairSelect::automatic);
-
-    /// The selection mode actually in use (`automatic` resolved).
-    PairSelect pair_selection() const noexcept { return pair_select_; }
+    /// Picks the pair-selection lane from `protocol` (kFenwickPairThreshold).
+    explicit Simulator(const Protocol& protocol);
 
     /// Wall-clock seconds the constructor spent computing the output traps
     /// — the quantity the worklist fixpoint collapses at |Q| ≥ 10⁵
@@ -453,8 +463,11 @@ public:
 
 private:
     friend class Trajectory;
+    friend struct reference::EngineSeam;
     template <typename W>
     using Context = detail::StepContext<W>;
+
+    Simulator(const Protocol& protocol, detail::PairSelect pair_select);
 
     void compute_output_traps();
     void check_states(const Config& config, const char* where) const;
@@ -512,7 +525,7 @@ private:
 
     // Owned copy: simulators are long-lived; never dangle on a temporary.
     Protocol protocol_;
-    PairSelect pair_select_;
+    detail::PairSelect pair_select_;
     double trap_setup_seconds_ = 0.0;
     std::vector<bool> traps_[2];  // traps_[b][q]: q belongs to the b-trap
     /// outside_mask_[q]: bit b set ⟺ q lies *outside* trap b — one byte

@@ -1,22 +1,28 @@
 // The sparse rule table (RuleTable::sparse): the open-addressed pair → id
 // map against the dense triangular reference, edge cases (no non-silent
-// pairs, a single self pair), automatic representation selection at the
+// pairs, a single self pair), the representation the protocol picks at the
 // dense cap, trajectory identity between the two representations — per
-// seed on long batches and exhaustively on the 4995-config sweep — and the
-// |Q| ≥ 10⁵ regime the sparse table unlocks.
+// seed on long batches, on whole E11 throughput rows forced sparse, and
+// exhaustively on the 4995-config sweep — and the |Q| ≥ 10⁵ regime the
+// sparse table unlocks.  The other representation is forced through
+// reference::EngineSeam.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
 
 #include "protocols/double_exp_threshold.hpp"
+#include "reference/engine_seam.hpp"
 #include "sim/simulator.hpp"
 #include "support/hash.hpp"
 
 namespace ppsc {
 namespace {
+
+using reference::EngineSeam;
 
 // Token-merge chain with `num_states` states: c_i,c_i -> z,c_{i+1}, all
 // outputs 0.  Θ(|Q|) non-silent pairs (all self pairs), cheap to build at
@@ -76,8 +82,7 @@ TEST(SparseRuleTable, ZeroNonsilentPairs) {
         const StateId a = b.add_state("a", 0);
         b.add_state("b", 1);
         b.set_input("x", a);
-        b.set_rule_table(kind);
-        const Protocol p = std::move(b).build();
+        const Protocol p = EngineSeam::with_rule_table(std::move(b).build(), kind);
         EXPECT_EQ(p.rule_table(), kind);
         EXPECT_TRUE(p.nonsilent_pairs().empty());
         for (StateId s = 0; s < 2; ++s) {
@@ -101,8 +106,7 @@ TEST(SparseRuleTable, SingleSelfPair) {
         const StateId t = b.add_state("t", 1);
         b.set_input("x", a);
         b.add_transition(a, a, t, t);
-        b.set_rule_table(kind);
-        const Protocol p = std::move(b).build();
+        const Protocol p = EngineSeam::with_rule_table(std::move(b).build(), kind);
         EXPECT_EQ(p.pair_id(a, a), 0u);
         EXPECT_EQ(p.self_pair(a), 0u);
         EXPECT_EQ(p.pair_id(a, t), Protocol::kNoPair);
@@ -132,7 +136,7 @@ TEST(SparseRuleTable, AutomaticResolvesByTriangularSize) {
     // Sparse memory is keyed on the ~4k non-silent pairs, not the 8.4M
     // triangular slots (4 bytes each) the dense array would need.
     EXPECT_LT(large.rule_table_bytes(), std::size_t{1} << 20);
-    expect_identical_lookups(large, large.with_rule_table(RuleTable::dense));
+    expect_identical_lookups(large, EngineSeam::with_rule_table(large, RuleTable::dense));
 }
 
 TEST(SparseRuleTable, PastTheOldDenseCapTrajectoriesMatchDensePerSeed) {
@@ -142,12 +146,12 @@ TEST(SparseRuleTable, PastTheOldDenseCapTrajectoriesMatchDensePerSeed) {
     const Protocol sparse = merge_chain(20'005);
     ASSERT_EQ(sparse.rule_table(), RuleTable::sparse);
     EXPECT_LT(sparse.rule_table_bytes(), std::size_t{1} << 21);
-    const Protocol dense = sparse.with_rule_table(RuleTable::dense);
+    const Protocol dense = EngineSeam::with_rule_table(sparse, RuleTable::dense);
     ASSERT_EQ(dense.rule_table(), RuleTable::dense);
     EXPECT_GT(dense.rule_table_bytes(), std::size_t{200'000'000} * 4);
 
     const Simulator sim_sparse(sparse), sim_dense(dense);
-    EXPECT_EQ(sim_sparse.pair_selection(), sim_dense.pair_selection());
+    EXPECT_EQ(EngineSeam::lane(sim_sparse), EngineSeam::lane(sim_dense));
     for (std::uint64_t seed = 1; seed <= 3; ++seed) {
         Config a = sparse.initial_config(1 << 12);
         Config b = dense.initial_config(1 << 12);
@@ -162,6 +166,46 @@ TEST(SparseRuleTable, PastTheOldDenseCapTrajectoriesMatchDensePerSeed) {
     }
 }
 
+TEST(SparseRuleTable, ForcedSparseE11RowsMatchDensePerSeed) {
+    // The E11 instances at n = 4 resolve to the dense table; forced onto the
+    // sparse one they must still complete whole throughput rows — advance()
+    // in chunks with IC restarts at silence, as e11_throughput_sweep drives
+    // them — on the same trajectory as the dense table, chunk by chunk.
+    constexpr AgentCount kPopulation = 512;
+    constexpr std::uint64_t kRow = 1 << 16;
+    for (const Protocol& dense :
+         {protocols::double_exp_threshold(4), protocols::double_exp_threshold_dense(4)}) {
+        ASSERT_EQ(dense.rule_table(), RuleTable::dense);
+        const Protocol sparse = EngineSeam::with_rule_table(dense, RuleTable::sparse);
+        ASSERT_EQ(sparse.rule_table(), RuleTable::sparse);
+        const Simulator sim_dense(dense), sim_sparse(sparse);
+        for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+            SCOPED_TRACE("|Q| = " + std::to_string(dense.num_states()) + ", seed " +
+                         std::to_string(seed));
+            Trajectory a(sim_dense, dense.initial_config(kPopulation));
+            Trajectory b(sim_sparse, sparse.initial_config(kPopulation));
+            Rng rng_a(seed), rng_b(seed);
+            RunOptions run;
+            std::uint64_t done = 0;
+            while (done < kRow) {
+                run.budget = std::min<std::uint64_t>(kRow - done, 1 << 12);
+                const RunReport report_a = sim_dense.advance(a, rng_a, run);
+                const RunReport report_b = sim_sparse.advance(b, rng_b, run);
+                ASSERT_EQ(report_a.interactions, report_b.interactions) << "at " << done;
+                ASSERT_EQ(report_a.fired, report_b.fired) << "at " << done;
+                ASSERT_TRUE(a.config() == b.config()) << "at " << done;
+                ASSERT_GT(report_b.interactions, 0u);
+                done += report_b.interactions;
+                if (report_b.stop == StopReason::silent) {
+                    a = Trajectory(sim_dense, dense.initial_config(kPopulation));
+                    b = Trajectory(sim_sparse, sparse.initial_config(kPopulation));
+                }
+            }
+            EXPECT_EQ(done, kRow);
+        }
+    }
+}
+
 TEST(SparseRuleTable, DenseSparseIdentityOnTheExhaustive4995ConfigSweep) {
     // The existing exhaustive sweep (sim_pair_fenwick_test) pinned Fenwick
     // vs. scan selection; this one pins dense vs. sparse rule tables on the
@@ -170,7 +214,7 @@ TEST(SparseRuleTable, DenseSparseIdentityOnTheExhaustive4995ConfigSweep) {
     // identically under both representations.
     const Protocol dense_table = protocols::double_exp_threshold_dense(2);
     ASSERT_EQ(dense_table.rule_table(), RuleTable::dense);  // 9 states: automatic = dense
-    const Protocol sparse_table = dense_table.with_rule_table(RuleTable::sparse);
+    const Protocol sparse_table = EngineSeam::with_rule_table(dense_table, RuleTable::sparse);
     expect_identical_lookups(dense_table, sparse_table);
     const std::size_t num_states = dense_table.num_states();
     const Simulator sim_dense(dense_table), sim_sparse(sparse_table);

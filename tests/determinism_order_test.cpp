@@ -18,11 +18,14 @@
 
 #include "core/protocol.hpp"
 #include "diophantine/pottier.hpp"
+#include "reference/engine_seam.hpp"
 #include "reference/reference.hpp"
 #include "verify/reachability.hpp"
 
 namespace ppsc {
 namespace {
+
+using reference::EngineSeam;
 
 // --- Protocol::pair_of (lookup-only unordered_map) -------------------------
 
@@ -70,8 +73,8 @@ TEST(OrderIndependence, PairLookupIgnoresTransitionInsertionOrder) {
     // on the rules of every pair.
     const auto n = static_cast<StateId>(forward.num_states());
     for (const RuleTable kind : {RuleTable::dense, RuleTable::sparse}) {
-        const Protocol f = forward.with_rule_table(kind);
-        const Protocol r = backward.with_rule_table(kind);
+        const Protocol f = EngineSeam::with_rule_table(forward, kind);
+        const Protocol r = EngineSeam::with_rule_table(backward, kind);
         for (StateId p = 0; p < n; ++p) {
             for (StateId q = p; q < n; ++q) {
                 EXPECT_EQ(pair_rules(f, p, q), pair_rules(r, p, q))

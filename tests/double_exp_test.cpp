@@ -12,11 +12,15 @@
 #include "protocols/double_exp_threshold.hpp"
 #include "protocols/modulo.hpp"
 #include "protocols/threshold.hpp"
+#include "reference/engine_seam.hpp"
 #include "sim/experiment.hpp"
 #include "verify/verifier.hpp"
 
 namespace ppsc {
 namespace {
+
+using reference::EngineSeam;
+using reference::PairSelect;
 
 // --- Exhaustive verification (arbitrary-precision collector) ----------------
 
@@ -105,7 +109,8 @@ TEST(DoubleExpThreshold, DecidesItsPredicateInRandomizedSimulation) {
     ConvergenceSweepOptions options;
     options.runs_per_size = 8;
     const auto rows = convergence_sweep(
-        p, {10, 15, 16, 17, 64}, [](AgentCount i) { return i >= 16 ? 1 : 0; }, options);
+        p, {10, 12, 15, 16, 17, 24, 40, 64}, [](AgentCount i) { return i >= 16 ? 1 : 0; },
+        options);
     for (const ConvergenceRow& row : rows) {
         EXPECT_EQ(row.converged_runs, row.runs) << "population " << row.population;
         EXPECT_EQ(row.correct_fraction, 1.0) << "population " << row.population;
@@ -117,7 +122,7 @@ TEST(DoubleExpThreshold, DenseVariantDecidesItsPredicateInRandomizedSimulation) 
     ConvergenceSweepOptions options;
     options.runs_per_size = 8;
     const auto rows = convergence_sweep(
-        p, {9, 14, 15, 16, 60}, [](AgentCount i) { return i >= 15 ? 1 : 0; }, options);
+        p, {9, 10, 14, 15, 16, 30, 60}, [](AgentCount i) { return i >= 15 ? 1 : 0; }, options);
     for (const ConvergenceRow& row : rows) {
         EXPECT_EQ(row.converged_runs, row.runs) << "population " << row.population;
         EXPECT_EQ(row.correct_fraction, 1.0) << "population " << row.population;
@@ -151,19 +156,30 @@ TEST(DoubleExpThreshold, ComposesUnderProduct) {
 // --- E11 sweep plumbing ------------------------------------------------------
 
 TEST(E11Sweep, ProducesCompleteRowsOnBothSelectionPaths) {
-    for (const PairSelect select : {PairSelect::fenwick, PairSelect::scan}) {
-        E11Options tiny;
-        tiny.tower_ns = {3};
-        tiny.populations = {64, 256};
-        tiny.interactions_per_row = 1 << 14;
-        tiny.selection = select;
-        const auto rows = e11_throughput_sweep(tiny);
-        ASSERT_EQ(rows.size(), 4u);  // {flagship, dense} × two populations
-        for (const ThroughputRow& row : rows) {
-            EXPECT_EQ(row.interactions, tiny.interactions_per_row) << row.protocol;
-            EXPECT_GT(row.num_states, 8u) << row.protocol;
-            EXPECT_GT(row.interactions_per_sec, 0.0) << row.protocol;
-        }
+    // Each row's protocol picks its own lane: at n = 3 both instances stay
+    // under kFenwickPairThreshold non-silent pairs (scan); at n = 4 the
+    // dense instance passes it (Fenwick) while the flagship does not.
+    E11Options tiny;
+    tiny.tower_ns = {3, 4};
+    tiny.populations = {64, 256, 512};
+    tiny.interactions_per_row = 1 << 16;
+    const auto rows = e11_throughput_sweep(tiny);
+    // Row order: tower, then {flagship, dense}, then population.
+    const Protocol instances[] = {
+        protocols::double_exp_threshold(3), protocols::double_exp_threshold_dense(3),
+        protocols::double_exp_threshold(4), protocols::double_exp_threshold_dense(4)};
+    const PairSelect lanes[] = {PairSelect::scan, PairSelect::scan, PairSelect::scan,
+                                PairSelect::fenwick};
+    ASSERT_EQ(rows.size(), 12u);
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        const ThroughputRow& row = rows[i];
+        SCOPED_TRACE(row.protocol + " at " + std::to_string(row.population));
+        const std::size_t instance = i / tiny.populations.size();
+        EXPECT_EQ(row.num_states, instances[instance].num_states());
+        EXPECT_EQ(EngineSeam::lane(Simulator(instances[instance])), lanes[instance]);
+        EXPECT_EQ(row.interactions, tiny.interactions_per_row);
+        EXPECT_GT(row.num_states, 8u);
+        EXPECT_GT(row.interactions_per_sec, 0.0);
     }
 }
 

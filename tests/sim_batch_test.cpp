@@ -10,11 +10,15 @@
 #include "protocols/double_exp_threshold.hpp"
 #include "protocols/majority.hpp"
 #include "protocols/threshold.hpp"
+#include "reference/engine_seam.hpp"
 #include "sim/experiment.hpp"
 #include "sim/simulator.hpp"
 
 namespace ppsc {
 namespace {
+
+using reference::EngineSeam;
+using reference::PairSelect;
 
 TEST(RunBatch, ConservesAgentsAndHonoursBudget) {
     const Protocol p = protocols::collector_threshold(20);
@@ -268,7 +272,7 @@ TEST(RunBatch, FiredCountIsPerCallAndSumsCleanlyAcrossRestarts) {
     // (e11_throughput_sweep) sum it themselves, so a stale value must never
     // leak from one call into the next.
     const Protocol p = protocols::double_exp_threshold(2);
-    const Simulator sim(p, PairSelect::fenwick);
+    const Simulator sim = EngineSeam::simulator(p, PairSelect::fenwick);
     EpochStats stats;  // summed over the epoch-mode trajectories below
 
     for (const StepMode mode : {StepMode::per_step, StepMode::epoch}) {
@@ -347,7 +351,7 @@ TEST(BatchedRun, ResumedRunsReportAbsoluteFiredTotals) {
     // absolute totals the uninterrupted run reports — under both stepping
     // modes, whose boundaries the hook rides.
     const Protocol p = protocols::collector_threshold(6);
-    const Simulator sim(p, PairSelect::fenwick);
+    const Simulator sim = EngineSeam::simulator(p, PairSelect::fenwick);
     struct Tick {
         std::uint64_t interactions;
         std::uint64_t fired;

@@ -20,12 +20,15 @@
 
 #include "protocols/double_exp_threshold.hpp"
 #include "protocols/threshold.hpp"
+#include "reference/engine_seam.hpp"
 #include "sim/experiment.hpp"
 #include "sim/simulator.hpp"
 #include "support/crc64.hpp"
 
 namespace ppsc {
 namespace {
+
+using reference::EngineSeam;
 
 namespace fs = std::filesystem;
 
@@ -254,8 +257,27 @@ TEST(Checkpoint, FingerprintSeparatesProtocolsAndRuleTables) {
     EXPECT_EQ(protocol_fingerprint(a), protocol_fingerprint(protocols::collector_threshold(9)));
     // The resolved rule-table kind participates: a dense-table simulator
     // must not resume a sparse-table run.
-    EXPECT_NE(protocol_fingerprint(c.with_rule_table(RuleTable::dense)),
-              protocol_fingerprint(c.with_rule_table(RuleTable::sparse)));
+    EXPECT_NE(protocol_fingerprint(EngineSeam::with_rule_table(c, RuleTable::dense)),
+              protocol_fingerprint(EngineSeam::with_rule_table(c, RuleTable::sparse)));
+}
+
+TEST(Checkpoint, FingerprintsOfBothRuleTableKindsArePinned) {
+    // Checkpoint files carry protocol_fingerprint, which mixes in the
+    // numeric value of the resolved RuleTable: these literals, recorded
+    // before the enum lost its `automatic` value, keep checkpoints written
+    // by earlier builds resumable.  collector_threshold(9) resolves dense;
+    // double_exp_threshold(12) (4099 states) just passes the dense cap.
+    const Protocol dense = protocols::collector_threshold(9);
+    const Protocol sparse = protocols::double_exp_threshold(12);
+    ASSERT_EQ(dense.rule_table(), RuleTable::dense);
+    ASSERT_EQ(sparse.num_states(), 4099u);
+    ASSERT_EQ(sparse.rule_table(), RuleTable::sparse);
+    EXPECT_EQ(protocol_fingerprint(dense), 0xba80048cc10a32f1u);
+    EXPECT_EQ(protocol_fingerprint(sparse), 0x8e307ba89e64a2e3u);
+    EXPECT_EQ(protocol_fingerprint(EngineSeam::with_rule_table(dense, RuleTable::sparse)),
+              0xd31fde62ee6e8950u);
+    EXPECT_EQ(protocol_fingerprint(EngineSeam::with_rule_table(sparse, RuleTable::dense)),
+              0xdf0547ab2dda35c2u);
 }
 
 TEST(Checkpoint, ConfigDigestSeesEveryCount) {
@@ -294,13 +316,16 @@ TEST(Checkpoint, KillAndResumeIsByteIdenticalAcrossFamiliesAndRuleTables) {
     // threshold, succinct and dense constructions.
     for (const RuleTable table : {RuleTable::dense, RuleTable::sparse}) {
         const std::string suffix = table == RuleTable::dense ? "/dense" : "/sparse";
-        variants.push_back({"collector(9)" + suffix,
-                            protocols::collector_threshold(9).with_rule_table(table), 400});
-        variants.push_back({"double_exp(4)" + suffix,
-                            protocols::double_exp_threshold(4).with_rule_table(table), 600});
-        variants.push_back({"double_exp_dense(3)" + suffix,
-                            protocols::double_exp_threshold_dense(3).with_rule_table(table),
-                            500});
+        variants.push_back(
+            {"collector(9)" + suffix,
+             EngineSeam::with_rule_table(protocols::collector_threshold(9), table), 400});
+        variants.push_back(
+            {"double_exp(4)" + suffix,
+             EngineSeam::with_rule_table(protocols::double_exp_threshold(4), table), 600});
+        variants.push_back(
+            {"double_exp_dense(3)" + suffix,
+             EngineSeam::with_rule_table(protocols::double_exp_threshold_dense(3), table),
+             500});
     }
     constexpr std::uint64_t kBudget = 120'000;
     constexpr std::uint64_t kEvery = 2'000;

@@ -22,12 +22,16 @@
 #include <vector>
 
 #include "protocols/threshold.hpp"
+#include "reference/engine_seam.hpp"
 #include "sim/simulator.hpp"
 #include "support/rng.hpp"
 #include "support/stat_test.hpp"
 
 namespace ppsc {
 namespace {
+
+using reference::EngineSeam;
+using reference::PairSelect;
 
 struct Instance {
     Protocol protocol;
@@ -142,7 +146,7 @@ TEST(EpochProperty, RandomProtocolsMatchMomentsAndVerdictsAcrossAThousandTrials)
     const double alpha = stat::bonferroni(1e-3, stat_tests);
 
     for (const Instance& instance : instances) {
-        const Simulator sim(instance.protocol, PairSelect::fenwick);
+        const Simulator sim = EngineSeam::simulator(instance.protocol, PairSelect::fenwick);
         std::uint64_t epoch_fired = 0;
         std::vector<double> times[2];
         for (int mode = 0; mode < 2; ++mode) {

@@ -28,11 +28,15 @@
 
 #include "protocols/leader.hpp"
 #include "protocols/threshold.hpp"
+#include "reference/engine_seam.hpp"
 #include "sim/checkpoint.hpp"
 #include "sim/simulator.hpp"
 
 namespace ppsc {
 namespace {
+
+using reference::EngineSeam;
+using reference::PairSelect;
 
 struct End {
     std::uint64_t digest = 0;
@@ -120,7 +124,7 @@ End end_of(const Trajectory& trajectory, const Rng& rng) {
 }
 
 End drive(const Case& c, PairSelect select, StepMode mode, std::uint64_t seed) {
-    const Simulator sim(c.protocol, select);
+    const Simulator sim = EngineSeam::simulator(c.protocol, select);
     Trajectory trajectory(sim, c.start);
     Rng rng(seed);
     RunOptions run;
@@ -169,7 +173,7 @@ struct Probed {
 /// is taken and must stay identical to it through the remaining chunks.
 Probed probe_chunks(const Protocol& p, const Config& start, PairSelect select, StepMode mode,
                     std::uint64_t seed, std::uint64_t chunk, int chunks) {
-    const Simulator sim(p, select);
+    const Simulator sim = EngineSeam::simulator(p, select);
     RunOptions run;
     run.budget = chunk;
     run.step_mode = mode;

@@ -1,6 +1,7 @@
 // Tests for the pair-weight Fenwick tree behind fired-step pair selection:
-// per-seed equivalence with the reference O(#pairs) cumulative scan
-// (PairSelect::scan), an exhaustive small-protocol sweep mirroring
+// per-seed equivalence with the reference O(#pairs) cumulative scan (both
+// lanes forced through reference::EngineSeam), the lane the simulator
+// picks at kFenwickPairThreshold, an exhaustive small-protocol sweep mirroring
 // support_fenwick_test, and a chi-squared goodness-of-fit check of the
 // fired-pair distribution against the exact conditional law w_pair / W
 // (through the shared statistical harness, support/stat_test.hpp).
@@ -14,11 +15,15 @@
 
 #include "protocols/double_exp_threshold.hpp"
 #include "protocols/threshold.hpp"
+#include "reference/engine_seam.hpp"
 #include "sim/simulator.hpp"
 #include "support/stat_test.hpp"
 
 namespace ppsc {
 namespace {
+
+using reference::EngineSeam;
+using reference::PairSelect;
 
 // A protocol whose 5 "live" states interact on every pair (each pair has a
 // unique rule, so the fired transition identifies the selected pair) and
@@ -95,8 +100,8 @@ TEST(PairWeightFenwick, TrajectoriesMatchTheReferenceScanPerSeed) {
     // over the same weights in the same order, so whole run_batch
     // trajectories must be identical per seed — not just in distribution.
     const Protocol protocol = protocols::double_exp_threshold_dense(3);  // eta = 255
-    const Simulator fenwick(protocol, PairSelect::fenwick);
-    const Simulator scan(protocol, PairSelect::scan);
+    const Simulator fenwick = EngineSeam::simulator(protocol, PairSelect::fenwick);
+    const Simulator scan = EngineSeam::simulator(protocol, PairSelect::scan);
     for (std::uint64_t seed = 1; seed <= 5; ++seed) {
         Config a = protocol.initial_config(300);  // above threshold: rich dynamics
         Config b = protocol.initial_config(300);
@@ -121,8 +126,8 @@ TEST(PairWeightFenwick, ExhaustiveSmallProtocolEquivalence) {
     const Protocol protocol = protocols::double_exp_threshold_dense(2);
     const std::size_t num_states = protocol.num_states();
     ASSERT_EQ(num_states, 9u);
-    const Simulator fenwick(protocol, PairSelect::fenwick);
-    const Simulator scan(protocol, PairSelect::scan);
+    const Simulator fenwick = EngineSeam::simulator(protocol, PairSelect::fenwick);
+    const Simulator scan = EngineSeam::simulator(protocol, PairSelect::scan);
 
     std::vector<AgentCount> counts(num_states, 0);
     std::uint64_t seed = 0;
@@ -154,6 +159,35 @@ TEST(PairWeightFenwick, ExhaustiveSmallProtocolEquivalence) {
     };
     for (AgentCount population = 2; population <= 6; ++population) enumerate(0, population);
     EXPECT_EQ(checked, 4'995u);  // Σ_{m=2..6} C(m+8, 8) — genuinely exhaustive
+}
+
+TEST(PairWeightFenwick, LaneResolvesAtTheNonsilentPairThreshold) {
+    // A chain c_i,c_i -> z,c_{i+1} has one non-silent (self) pair per
+    // link: the simulator takes the Fenwick lane from exactly
+    // kFenwickPairThreshold pairs up, whatever the rule table, and the
+    // seam's forced lanes hold on both sides of the threshold.
+    const auto chain = [](std::size_t pairs) {
+        ProtocolBuilder b;
+        const StateId z = b.add_state("z", 0);
+        std::vector<StateId> c;
+        for (std::size_t i = 0; i <= pairs; ++i)
+            c.push_back(b.add_state("c" + std::to_string(i), 0));
+        b.set_input("x", c[0]);
+        for (std::size_t i = 0; i < pairs; ++i) b.add_transition(c[i], c[i], z, c[i + 1]);
+        return std::move(b).build();
+    };
+    for (const std::size_t pairs : {kFenwickPairThreshold - 1, kFenwickPairThreshold}) {
+        const Protocol p = chain(pairs);
+        ASSERT_EQ(p.nonsilent_pairs().size(), pairs);
+        const PairSelect lane =
+            pairs >= kFenwickPairThreshold ? PairSelect::fenwick : PairSelect::scan;
+        EXPECT_EQ(EngineSeam::lane(Simulator(p)), lane) << pairs << " pairs";
+        EXPECT_EQ(EngineSeam::lane(Simulator(EngineSeam::with_rule_table(p, RuleTable::sparse))),
+                  lane)
+            << pairs << " pairs, sparse table";
+        for (const PairSelect forced : {PairSelect::fenwick, PairSelect::scan})
+            EXPECT_EQ(EngineSeam::lane(EngineSeam::simulator(p, forced)), forced) << pairs;
+    }
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include "protocols/double_exp_threshold.hpp"
 #include "protocols/modulo.hpp"
 #include "protocols/threshold.hpp"
+#include "reference/engine_seam.hpp"
 #include "sim/checkpoint.hpp"
 #include "sim/experiment.hpp"
 #include "sim/stats.hpp"
@@ -19,6 +20,9 @@
 
 namespace ppsc {
 namespace {
+
+using reference::EngineSeam;
+using reference::PairSelect;
 
 TEST(Simulator, OutputTrapsForCollectorThreshold) {
     const Protocol p = protocols::collector_threshold(5);
@@ -175,7 +179,7 @@ TEST(Trajectory, ConcurrentTrajectoriesOnOneSimulatorMatchSerial) {
     // Rng and mixes every stepping entry point.  The results must equal the
     // serial ones — nothing per-run lives in the Simulator.
     const Protocol p = protocols::double_exp_threshold(3);
-    const Simulator sim(p, PairSelect::fenwick);
+    const Simulator sim = EngineSeam::simulator(p, PairSelect::fenwick);
     struct End {
         std::uint64_t interactions = 0;
         std::uint64_t fired = 0;

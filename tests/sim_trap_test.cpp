@@ -16,12 +16,16 @@
 
 #include "protocols/double_exp_threshold.hpp"
 #include "protocols/threshold.hpp"
+#include "reference/engine_seam.hpp"
 #include "reference/reference.hpp"
 #include "sim/simulator.hpp"
 #include "support/rng.hpp"
 
 namespace ppsc {
 namespace {
+
+using reference::EngineSeam;
+using reference::PairSelect;
 
 void expect_traps_identical(const Protocol& protocol, const std::string& what) {
     for (int b = 0; b < 2; ++b) {
@@ -188,7 +192,7 @@ TEST(StabilityCounters, ConsistentAlongLongBatchTrajectories) {
         protocols::collector_threshold(32), protocols::double_exp_threshold_dense(3)};
     for (const Protocol& protocol : protocols_under_test) {
         for (const PairSelect select : {PairSelect::fenwick, PairSelect::scan}) {
-            const Simulator sim(protocol, select);
+            const Simulator sim = EngineSeam::simulator(protocol, select);
             Trajectory trajectory(sim, protocol.initial_config(100));
             Rng rng(0xbead);
             RunOptions run;

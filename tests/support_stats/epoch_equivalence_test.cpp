@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "protocols/double_exp_threshold.hpp"
+#include "reference/engine_seam.hpp"
 #include "sim/experiment.hpp"
 #include "sim/simulator.hpp"
 #include "support/fenwick.hpp"
@@ -36,6 +37,9 @@
 
 namespace ppsc {
 namespace {
+
+using reference::EngineSeam;
+using reference::PairSelect;
 
 /// Live states interacting on every pair, each pair firing into its own
 /// private sink — after an epoch, sink counts identify the per-pair firing
@@ -93,7 +97,7 @@ TEST(EpochEquivalence, SingleEpochFiringCountsPassChiSquaredAgainstTheMultinomia
     // — conditional-binomial descent is distribution-identical to k
     // sequential weight-proportional draws.
     const PairProbe probe = make_pair_probe(5);
-    const Simulator sim(probe.protocol, PairSelect::fenwick);
+    const Simulator sim = EngineSeam::simulator(probe.protocol, PairSelect::fenwick);
     Config base(probe.protocol.num_states());
     const std::vector<AgentCount> counts = {60, 30, 90, 20, 50};
     for (std::size_t q = 0; q < counts.size(); ++q) base.set(probe.live[q], counts[q]);
@@ -165,7 +169,7 @@ TEST(EpochEquivalence, ExhaustiveSmallConfigurationMomentChecks) {
     // ⌊min count / 2⌋, which makes every draw feasible (2k ≤ count for all
     // states), so k is deterministic per configuration and the law exact.
     const PairProbe probe = make_pair_probe(4);
-    const Simulator sim(probe.protocol, PairSelect::fenwick);
+    const Simulator sim = EngineSeam::simulator(probe.protocol, PairSelect::fenwick);
     const CheckpointHook stop = stop_after_first_boundary();
     EpochStats stats;
 
@@ -308,7 +312,7 @@ TEST(EpochEquivalence, ConvergenceTimeDistributionsMatchThePerStepReference) {
     // modes (mean, variance, and KS at α = 10⁻³/3), and the verdicts
     // identical — every run of both modes must stabilise to output 1.
     const Protocol protocol = protocols::double_exp_threshold(2);
-    const Simulator sim(protocol, PairSelect::fenwick);
+    const Simulator sim = EngineSeam::simulator(protocol, PairSelect::fenwick);
     const AgentCount population = 4096;
 
     const int runs = 250;
@@ -356,7 +360,7 @@ TEST(EpochEquivalence, StructuralConsistencyAfterEpochs) {
     // trap counters, agent tree) must agree with a from-scratch rebuild —
     // population conserved, silence and stability verdicts identical.
     const Protocol protocol = protocols::double_exp_threshold(2);
-    const Simulator sim(protocol, PairSelect::fenwick);
+    const Simulator sim = EngineSeam::simulator(protocol, PairSelect::fenwick);
     const AgentCount population = 50'000;
     Trajectory trajectory(sim, protocol.initial_config(population));
     Rng rng(stat::derive_seed(2028, "structural"));
@@ -416,7 +420,7 @@ TEST(EpochSmoke, SamplerMomentsAndTheMultinomialSplit) {
 
 TEST(EpochSmoke, EpochAndPerStepAgreeOnDoubleExpThreshold2) {
     const Protocol p = protocols::double_exp_threshold(2);
-    const Simulator sim(p, PairSelect::fenwick);
+    const Simulator sim = EngineSeam::simulator(p, PairSelect::fenwick);
     const int runs = 60;
     double mean[2] = {0.0, 0.0};
     EpochStats stats;
@@ -445,13 +449,28 @@ TEST(EpochSmoke, EpochAndPerStepAgreeOnDoubleExpThreshold2) {
 }
 
 TEST(EpochSmoke, E11SweepRowsKeepFiredAccountingUnderEpochStepping) {
+    // n = 7 is the smallest tower whose rows all take the Fenwick lane —
+    // the flagship has 388 non-silent pairs — so every row really steps in
+    // epochs rather than running per-step on the scan.
     E11Options tiny;
-    tiny.tower_ns = {4};
+    tiny.tower_ns = {7};
     tiny.populations = {1 << 16};
     tiny.interactions_per_row = 1 << 20;
     tiny.step_mode = StepMode::epoch;
+    for (const Protocol& p :
+         {protocols::double_exp_threshold(7), protocols::double_exp_threshold_dense(7)}) {
+        // The row's simulator, as the sweep builds it, takes epochs.
+        const Simulator sim(p);
+        Trajectory trajectory(sim, p.initial_config(tiny.populations[0]));
+        Rng rng(1);
+        RunOptions run;
+        run.budget = tiny.interactions_per_row;
+        run.step_mode = StepMode::epoch;
+        sim.advance(trajectory, rng, run);
+        EXPECT_GT(trajectory.epoch_stats().epochs, 0u) << p.num_states() << " states";
+    }
     const auto rows = e11_throughput_sweep(tiny);
-    ASSERT_FALSE(rows.empty());
+    ASSERT_EQ(rows.size(), 2u);
     for (const ThroughputRow& row : rows) {
         SCOPED_TRACE(row.protocol);
         EXPECT_EQ(row.interactions, tiny.interactions_per_row);
