@@ -475,13 +475,27 @@ void BM_E11FlagshipConvergence(benchmark::State& state) {
 }
 BENCHMARK(BM_E11FlagshipConvergence)->Arg(17)->Unit(benchmark::kMillisecond);
 
+// Exact verification of one input: the reachability graph from IC(i),
+// its SCCs and the bottom-SCC consensus check.  nodes_per_second and
+// edges_per_second divide the graph's interned configurations and
+// successor edges by the time of the whole verdict, so the reachability
+// layer's share can be read off against the row time.
 void BM_ExhaustiveVerification(benchmark::State& state) {
     const Protocol protocol = protocols::unary_threshold(3);
     const Verifier verifier(protocol);
+    const auto input = static_cast<AgentCount>(state.range(0));
+    const Config roots[] = {protocol.initial_config(input)};
+    const ReachabilityGraph graph = ReachabilityGraph::explore(protocol, roots);
     for (auto _ : state) {
-        const InputVerdict verdict = verifier.verify_input(static_cast<AgentCount>(state.range(0)));
+        const InputVerdict verdict = verifier.verify_input(input);
         benchmark::DoNotOptimize(verdict.explored_nodes);
     }
+    state.counters["nodes_per_second"] = benchmark::Counter(
+        static_cast<double>(graph.num_nodes()), benchmark::Counter::kIsIterationInvariantRate);
+    state.counters["edges_per_second"] = benchmark::Counter(
+        static_cast<double>(graph.num_edges()), benchmark::Counter::kIsIterationInvariantRate);
+    state.SetLabel("nodes=" + std::to_string(graph.num_nodes()) +
+                   " edges=" + std::to_string(graph.num_edges()));
 }
 BENCHMARK(BM_ExhaustiveVerification)->Arg(6)->Arg(10)->Arg(14);
 
@@ -595,6 +609,7 @@ void busy_beaver_sweep_bench(benchmark::State& state, bool screen, bool static_s
         benchmark::DoNotOptimize(outcome.best_eta);
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(candidates));
+    state.SetLabel("items_per_second: candidates");
     state.counters["screened_out"] =
         candidates > 0 ? static_cast<double>(screened_out) / static_cast<double>(candidates) : 0;
     if (static_screen)

@@ -23,6 +23,13 @@ struct TrialResult {
     std::optional<int> output;
 };
 
+void add_epoch_stats(EpochStats& total, const EpochStats& part) {
+    total.epochs += part.epochs;
+    total.epoch_fired += part.epoch_fired;
+    total.fallback_fired += part.fallback_fired;
+    total.rejected_draws += part.rejected_draws;
+}
+
 }  // namespace
 
 std::vector<ConvergenceRow> convergence_sweep(const Protocol& protocol,
@@ -184,6 +191,7 @@ std::vector<ThroughputRow> e11_throughput_sweep(const E11Options& options) {
                 run.epoch = options.epoch;
                 std::uint64_t done = 0;
                 std::uint64_t fired = 0;
+                EpochStats epoch;
                 while (done < options.interactions_per_row) {
                     run.budget = options.interactions_per_row - done;
                     const RunReport report = simulator.advance(trajectory, rng, run);
@@ -195,10 +203,12 @@ std::vector<ThroughputRow> e11_throughput_sweep(const E11Options& options) {
                         if (report.interactions == 0) break;
                         // Sub-threshold trajectories end silent (≤ 1 token
                         // per level); restart from IC to keep measuring.
+                        add_epoch_stats(epoch, trajectory.epoch_stats());
                         trajectory =
                             Trajectory(simulator, variant.protocol.initial_config(population));
                     }
                 }
+                add_epoch_stats(epoch, trajectory.epoch_stats());
                 const std::chrono::duration<double> elapsed =
                     std::chrono::steady_clock::now() - start;
                 ThroughputRow row;
@@ -212,6 +222,7 @@ std::vector<ThroughputRow> e11_throughput_sweep(const E11Options& options) {
                 row.population = population;
                 row.interactions = done;
                 row.fired = fired;
+                row.epoch = epoch;
                 row.seconds = elapsed.count();
                 row.interactions_per_sec =
                     row.seconds > 0.0 ? static_cast<double>(done) / row.seconds : 0.0;

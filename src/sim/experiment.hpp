@@ -97,6 +97,9 @@ struct ThroughputRow {
     /// the silent majority is skipped analytically either way, so
     /// interactions_per_sec alone would hide what the batching buys.
     std::uint64_t fired = 0;
+    /// How the epoch path engaged, summed over the row's advance() calls
+    /// (all zero under per-step stepping).
+    EpochStats epoch;
     double seconds = 0.0;             ///< wall-clock time for the row
     double interactions_per_sec = 0.0;
     double fired_per_sec = 0.0;

@@ -88,11 +88,12 @@ private:
     std::size_t mask_ = 0;
 };
 
-/// Hash of a vector of integers (FNV-ish via hash_combine).
-template <typename Int>
-std::size_t hash_int_vector(const std::vector<Int>& values) noexcept {
+/// Hash of a sequence of integers — a std::vector or a std::span of one —
+/// (FNV-ish via hash_combine).
+template <typename Ints>
+std::size_t hash_int_vector(const Ints& values) noexcept {
     std::size_t seed = 0x243f6a8885a308d3ull ^ values.size();
-    for (const Int v : values) hash_combine(seed, static_cast<std::size_t>(v));
+    for (const auto v : values) hash_combine(seed, static_cast<std::size_t>(v));
     return seed;
 }
 

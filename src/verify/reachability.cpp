@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "support/check.hpp"
+#include "support/hash.hpp"
 
 namespace ppsc {
 
@@ -32,34 +33,67 @@ void enumerate_slice(std::size_t num_states, AgentCount population, Emit&& emit)
 
 }  // namespace
 
-NodeId ReachabilityGraph::intern(const Config& config, const ReachabilityOptions& options,
-                                 std::vector<NodeId>& frontier) {
-    auto [it, inserted] = index_.try_emplace(config, static_cast<NodeId>(configs_.size()));
-    if (inserted) {
-        if (configs_.size() >= options.max_nodes)
-            throw std::length_error(
-                "ReachabilityGraph: node budget exhausted (raise max_nodes)");
-        configs_.push_back(config);
-        adjacency_.emplace_back();
-        frontier.push_back(it->second);
+NodeId ReachabilityGraph::lookup(std::span<const AgentCount> counts, std::uint64_t hash) const {
+    if (slots_.empty()) return -1;
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t slot = mix64(hash) & mask;; slot = (slot + 1) & mask) {
+        const NodeId id = slots_[slot];
+        if (id < 0) return id;
+        const auto i = static_cast<std::size_t>(id);
+        if (hashes_[i] == hash && std::ranges::equal(configs_[i].counts(), counts)) return id;
     }
-    return it->second;
 }
 
-void ReachabilityGraph::close(const ReachabilityOptions& options, std::vector<NodeId> frontier) {
-    // Standard interning BFS; `frontier` holds nodes whose successors are
-    // not yet computed.
-    std::size_t processed = 0;
-    std::vector<NodeId> out;  // reused buffer; adjacency_ grows inside intern()
-    const auto fire_rule = [&](const Config& current, NodeId node, TransitionId rule,
-                               std::vector<NodeId>& frontier_ref) {
-        const Transition& t = protocol_->transitions()[static_cast<std::size_t>(rule)];
-        const NodeId target = intern(protocol_->fire(current, t), options, frontier_ref);
-        if (target != node) out.push_back(target);
+NodeId ReachabilityGraph::intern(std::span<const AgentCount> counts, std::uint64_t hash,
+                                 const ReachabilityOptions& options) {
+    if (const NodeId found = lookup(counts, hash); found >= 0) return found;
+    if (configs_.size() >= options.max_nodes)
+        throw std::length_error("ReachabilityGraph: node budget exhausted (raise max_nodes)");
+    PPSC_CHECK(configs_.size() < static_cast<std::size_t>(std::numeric_limits<NodeId>::max()));
+    const auto id = static_cast<NodeId>(configs_.size());
+    configs_.push_back(Config::from_counts({counts.begin(), counts.end()}));
+    hashes_.push_back(hash);
+    const auto place = [this](std::size_t node) {
+        const std::size_t mask = slots_.size() - 1;
+        std::size_t slot = mix64(hashes_[node]) & mask;
+        while (slots_[slot] >= 0) slot = (slot + 1) & mask;
+        slots_[slot] = static_cast<NodeId>(node);
     };
-    while (processed < frontier.size()) {
-        const NodeId node = frontier[processed++];
-        const Config current = configs_[static_cast<std::size_t>(node)];  // copy: configs_ may grow
+    if (2 * configs_.size() > slots_.size()) {
+        // Double and reinsert from the stored hashes (load stays ≤ 1/2).
+        slots_.assign(std::max<std::size_t>(16, 2 * slots_.size()), -1);
+        for (std::size_t node = 0; node + 1 < configs_.size(); ++node) place(node);
+    }
+    place(configs_.size() - 1);
+    return id;
+}
+
+void ReachabilityGraph::close(const ReachabilityOptions& options) {
+    // Interning BFS: nodes are numbered in discovery order and closed in
+    // id order, so each closed node's row is appended to the forward CSR.
+    // `current` holds the node's counts (configs_ may reallocate while new
+    // nodes are interned); `next` is `current` with one rule's four deltas
+    // applied, undone after its lookup.
+    std::vector<AgentCount> current;
+    std::vector<AgentCount> next;
+    std::vector<NodeId> out;
+    const auto fire_rule = [&](NodeId node, TransitionId rule) {
+        const Transition& t = protocol_->transitions()[static_cast<std::size_t>(rule)];
+        --next[static_cast<std::size_t>(t.pre1)];
+        --next[static_cast<std::size_t>(t.pre2)];
+        ++next[static_cast<std::size_t>(t.post1)];
+        ++next[static_cast<std::size_t>(t.post2)];
+        const NodeId target = intern(next, hash_int_vector(next), options);
+        if (target != node) out.push_back(target);
+        ++next[static_cast<std::size_t>(t.pre1)];
+        ++next[static_cast<std::size_t>(t.pre2)];
+        --next[static_cast<std::size_t>(t.post1)];
+        --next[static_cast<std::size_t>(t.post2)];
+    };
+    for (std::size_t i = offsets_.size() - 1; i < configs_.size(); ++i) {
+        const auto node = static_cast<NodeId>(i);
+        current = configs_[i].counts();
+        next = current;
         out.clear();
         // Walk the non-silent-pair CSR restricted to the support: every
         // enabled pair with at least one rule is reached through the
@@ -68,23 +102,26 @@ void ReachabilityGraph::close(const ReachabilityOptions& options, std::vector<No
         // lower endpoint).  Silent support pairs are never touched, so the
         // cost is Σ_{q ∈ supp} deg(q) + rules fired, independent of the
         // rule-table kind.
-        for (const StateId q : current.support()) {
-            if (current[q] >= 2) {
+        const auto count = [&](StateId q) { return current[static_cast<std::size_t>(q)]; };
+        for (StateId q = 0; q < static_cast<StateId>(current.size()); ++q) {
+            if (count(q) == 0) continue;
+            if (count(q) >= 2) {
                 const Protocol::PairId self = protocol_->self_pair(q);
                 if (self != Protocol::kNoPair) {
                     for (const TransitionId rule : protocol_->rules_for_pair_id(self))
-                        fire_rule(current, node, rule, frontier);
+                        fire_rule(node, rule);
                 }
             }
             for (const Protocol::PairNeighbor& neighbor : protocol_->pair_neighbors(q)) {
-                if (neighbor.partner < q || current[neighbor.partner] == 0) continue;
+                if (neighbor.partner < q || count(neighbor.partner) == 0) continue;
                 for (const TransitionId rule : protocol_->rules_for_pair_id(neighbor.pair))
-                    fire_rule(current, node, rule, frontier);
+                    fire_rule(node, rule);
             }
         }
         std::sort(out.begin(), out.end());
         out.erase(std::unique(out.begin(), out.end()), out.end());
-        adjacency_[static_cast<std::size_t>(node)] = out;
+        targets_.insert(targets_.end(), out.begin(), out.end());
+        offsets_.push_back(targets_.size());
     }
 }
 
@@ -107,9 +144,9 @@ ReachabilityGraph ReachabilityGraph::explore(const Protocol& protocol,
 
     ReachabilityGraph graph;
     graph.protocol_ = &protocol;
-    std::vector<NodeId> frontier;
-    for (const Config& root : roots) graph.roots_.push_back(graph.intern(root, options, frontier));
-    graph.close(options, std::move(frontier));
+    for (const Config& root : roots)
+        graph.roots_.push_back(graph.intern(root.counts(), root.hash(), options));
+    graph.close(options);
     return graph;
 }
 
@@ -120,28 +157,23 @@ ReachabilityGraph ReachabilityGraph::full_slice(const Protocol& protocol, AgentC
             "ReachabilityGraph::full_slice: configurations need at least two agents");
     ReachabilityGraph graph;
     graph.protocol_ = &protocol;
-    std::vector<NodeId> frontier;
     enumerate_slice(protocol.num_states(), population, [&](const std::vector<AgentCount>& counts) {
-        graph.intern(Config::from_counts(counts), options, frontier);
+        graph.intern(counts, hash_int_vector(counts), options);
     });
-    graph.close(options, std::move(frontier));
+    graph.close(options);
     return graph;
 }
 
-std::size_t ReachabilityGraph::num_edges() const noexcept {
-    std::size_t edges = 0;
-    for (const auto& out : adjacency_) edges += out.size();
-    return edges;
-}
-
 std::optional<NodeId> ReachabilityGraph::find(const Config& config) const {
-    auto it = index_.find(config);
-    if (it == index_.end()) return std::nullopt;
-    return it->second;
+    const NodeId id = lookup(config.counts(), config.hash());
+    if (id < 0) return std::nullopt;
+    return id;
 }
 
 std::span<const NodeId> ReachabilityGraph::successors(NodeId node) const {
-    return adjacency_.at(static_cast<std::size_t>(node));
+    if (node < 0 || static_cast<std::size_t>(node) >= configs_.size())
+        throw std::out_of_range("ReachabilityGraph::successors: node out of range");
+    return row(static_cast<std::size_t>(node));
 }
 
 ReachabilityGraph::SccResult ReachabilityGraph::compute_sccs() const {
@@ -175,7 +207,7 @@ ReachabilityGraph::SccResult ReachabilityGraph::compute_sccs() const {
                 stack.push_back(frame.node);
                 on_stack[node] = true;
             }
-            const auto& out = adjacency_[node];
+            const auto out = row(node);
             bool descended = false;
             while (frame.child < out.size()) {
                 const auto next = static_cast<std::size_t>(out[frame.child]);
@@ -211,7 +243,7 @@ ReachabilityGraph::SccResult ReachabilityGraph::compute_sccs() const {
 
     result.is_bottom.assign(static_cast<std::size_t>(result.num_components), true);
     for (std::size_t node = 0; node < n; ++node) {
-        for (const NodeId target : adjacency_[node]) {
+        for (const NodeId target : row(node)) {
             if (result.component_of[node] !=
                 result.component_of[static_cast<std::size_t>(target)])
                 result.is_bottom[static_cast<std::size_t>(result.component_of[node])] = false;
@@ -229,7 +261,7 @@ std::vector<bool> ReachabilityGraph::forward_closure(NodeId start) const {
     while (!queue.empty()) {
         const NodeId node = queue.front();
         queue.pop_front();
-        for (const NodeId next : adjacency_[static_cast<std::size_t>(node)]) {
+        for (const NodeId next : row(static_cast<std::size_t>(node))) {
             if (!visited[static_cast<std::size_t>(next)]) {
                 visited[static_cast<std::size_t>(next)] = true;
                 queue.push_back(next);
@@ -241,17 +273,16 @@ std::vector<bool> ReachabilityGraph::forward_closure(NodeId start) const {
 
 void ReachabilityGraph::build_reverse_csr() const {
     if (!reverse_offsets_.empty() || configs_.empty()) return;
-    // Counting sort of the edge list by target: two passes over the forward
-    // adjacency, two contiguous arrays, no per-node vectors.
+    // Counting sort of the forward CSR's targets: two passes, two
+    // contiguous arrays, no per-node vectors.
     reverse_offsets_.assign(configs_.size() + 1, 0);
-    for (const auto& out : adjacency_)
-        for (const NodeId target : out) ++reverse_offsets_[static_cast<std::size_t>(target) + 1];
+    for (const NodeId target : targets_) ++reverse_offsets_[static_cast<std::size_t>(target) + 1];
     for (std::size_t i = 1; i < reverse_offsets_.size(); ++i)
         reverse_offsets_[i] += reverse_offsets_[i - 1];
-    reverse_targets_.resize(reverse_offsets_.back());
-    std::vector<std::uint32_t> cursor(reverse_offsets_.begin(), reverse_offsets_.end() - 1);
+    reverse_targets_.resize(targets_.size());
+    std::vector<std::size_t> cursor(reverse_offsets_.begin(), reverse_offsets_.end() - 1);
     for (std::size_t node = 0; node < configs_.size(); ++node) {
-        for (const NodeId target : adjacency_[node])
+        for (const NodeId target : row(node))
             reverse_targets_[cursor[static_cast<std::size_t>(target)]++] =
                 static_cast<NodeId>(node);
     }
@@ -275,9 +306,9 @@ std::vector<bool> ReachabilityGraph::backward_closure(const std::vector<bool>& t
         next_round.clear();
         for (const NodeId node : round) {
             const auto i = static_cast<std::size_t>(node);
-            const std::uint32_t begin = reverse_offsets_[i];
-            const std::uint32_t end = reverse_offsets_[i + 1];
-            for (std::uint32_t e = begin; e < end; ++e) {
+            const std::size_t begin = reverse_offsets_[i];
+            const std::size_t end = reverse_offsets_[i + 1];
+            for (std::size_t e = begin; e < end; ++e) {
                 const NodeId prev = reverse_targets_[e];
                 if (!visited[static_cast<std::size_t>(prev)]) {
                     visited[static_cast<std::size_t>(prev)] = true;

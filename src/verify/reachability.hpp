@@ -11,22 +11,31 @@
 // a bottom SCC, so "every fair execution from C stabilises to output b" is
 // exactly "every bottom SCC reachable from C is a b-consensus SCC".
 //
+// Storage.  Nodes are numbered in BFS intern order and closed in id order.
+// Configurations are interned in an open-addressed table of NodeIds (linear
+// probing, load ≤ 1/2) keyed by a hash stored per node; a probe compares a
+// candidate's counts against configs_[id] in place, so looking up a
+// successor builds no Config — one is built only when the node is new.
+// Successors go into a forward CSR (offsets + one contiguous target array):
+// each node's row is sorted and de-duplicated, and rows are appended as
+// nodes close, so exploring a graph allocates at most once per node.
+//
 // One path per operation: successor enumeration walks the protocol's
 // non-silent-pair CSR (`pair_neighbors`/`self_pair` restricted to the
-// configuration's support), and the backward closure runs a
-// round-structured worklist over a flat reverse CSR of the graph.  The
-// seed-era formulations they replaced — probing every support × support
-// pair through the rule table, and a vector-of-vectors reverse BFS — are
-// test oracles in tests/reference/, and tests/analysis_sparse_test.cpp
-// asserts both operations equal to them on exhaustive small-protocol
-// sweeps, on explore() and full_slice() graphs alike.
+// configuration's support), firing each rule by four count deltas on one
+// scratch buffer, and the backward closure runs a round-structured worklist
+// over a flat reverse CSR of the graph.  The seed-era formulations they
+// replaced — probing every support × support pair through the rule table,
+// and a vector-of-vectors reverse BFS — are test oracles in
+// tests/reference/, and tests/analysis_sparse_test.cpp asserts both
+// operations equal to them on exhaustive small-protocol sweeps, on
+// explore() and full_slice() graphs alike.
 #pragma once
 
 #include <cstdint>
 #include <limits>
 #include <optional>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "core/config.hpp"
@@ -56,7 +65,7 @@ public:
 
     const Protocol& protocol() const noexcept { return *protocol_; }
     std::size_t num_nodes() const noexcept { return configs_.size(); }
-    std::size_t num_edges() const noexcept;
+    std::size_t num_edges() const noexcept { return targets_.size(); }
 
     const Config& config(NodeId node) const { return configs_.at(static_cast<std::size_t>(node)); }
 
@@ -91,20 +100,33 @@ public:
 private:
     ReachabilityGraph() = default;
 
-    NodeId intern(const Config& config, const ReachabilityOptions& options,
-                  std::vector<NodeId>& frontier);
-    void close(const ReachabilityOptions& options, std::vector<NodeId> frontier);
+    /// Node holding exactly `counts` (hash `hash`), or -1.
+    NodeId lookup(std::span<const AgentCount> counts, std::uint64_t hash) const;
+    /// lookup(), adding a new node (with an empty, not yet closed row) when
+    /// absent.  Throws std::length_error past options.max_nodes.
+    NodeId intern(std::span<const AgentCount> counts, std::uint64_t hash,
+                  const ReachabilityOptions& options);
+    /// Computes the successor rows of every node not yet closed, in id
+    /// order, interning new nodes as they are discovered.
+    void close(const ReachabilityOptions& options);
+    std::span<const NodeId> row(std::size_t node) const noexcept {
+        return {targets_.data() + offsets_[node], targets_.data() + offsets_[node + 1]};
+    }
     void build_reverse_csr() const;
 
     const Protocol* protocol_ = nullptr;
-    std::vector<Config> configs_;
-    std::unordered_map<Config, NodeId, ConfigHash> index_;
-    std::vector<std::vector<NodeId>> adjacency_;  // per-node successor lists
+    std::vector<Config> configs_;       // node -> configuration
+    std::vector<std::uint64_t> hashes_;  // node -> Config::hash() of its counts
+    std::vector<NodeId> slots_;          // intern table: node or -1; size a power of two
     std::vector<NodeId> roots_;
 
-    // Lazily built reverse edges as a flat CSR (Θ(nodes + edges) in two
-    // contiguous arrays, no per-node allocation).
-    mutable std::vector<std::uint32_t> reverse_offsets_;
+    // Forward and (lazily built) reverse CSR.  Offsets are 64-bit: node ids
+    // fit NodeId, but edges are bounded only by nodes × rules, which can
+    // pass 2³² (2·10⁶ nodes × a few thousand successors), and a 32-bit
+    // offset would wrap silently.
+    std::vector<std::size_t> offsets_{0};
+    std::vector<NodeId> targets_;
+    mutable std::vector<std::size_t> reverse_offsets_;
     mutable std::vector<NodeId> reverse_targets_;
 };
 

@@ -1,8 +1,8 @@
-// Regression tests for the unordered-container audit: the tree's
-// unordered_map/unordered_set uses in trajectory-affecting code
-// (Protocol::pair_of in src/core/protocol.cpp, the `seen` dedup sets in
-// src/diophantine/pottier.cpp, ReachabilityGraph::index_ in
-// src/verify/reachability.hpp) are lookup- or dedup-only — nothing
+// Regression tests for the unordered-container audit: the tree's hashed
+// containers in trajectory-affecting code (Protocol::pair_of in
+// src/core/protocol.cpp, the `seen` dedup sets in
+// src/diophantine/pottier.cpp, ReachabilityGraph's open-addressed intern
+// table in src/verify/reachability.cpp) are lookup- or dedup-only — nothing
 // observable may depend on libstdc++ bucket iteration order.  ppsc_lint
 // rule R2 keeps new *iteration* out of these files; these tests pin the
 // behavioural half of the audit: permuting the order in which the keys are
@@ -85,7 +85,7 @@ TEST(OrderIndependence, PairLookupIgnoresTransitionInsertionOrder) {
     }
 }
 
-// --- ReachabilityGraph::index_ (lookup-only unordered_map) -----------------
+// --- ReachabilityGraph's intern table (lookup-only hash table) -------------
 
 /// Reachability verdicts keyed by configuration (NodeIds are exploration-
 /// order-dependent and deliberately not compared).

@@ -457,18 +457,6 @@ TEST(EpochSmoke, E11SweepRowsKeepFiredAccountingUnderEpochStepping) {
     tiny.populations = {1 << 16};
     tiny.interactions_per_row = 1 << 20;
     tiny.step_mode = StepMode::epoch;
-    for (const Protocol& p :
-         {protocols::double_exp_threshold(7), protocols::double_exp_threshold_dense(7)}) {
-        // The row's simulator, as the sweep builds it, takes epochs.
-        const Simulator sim(p);
-        Trajectory trajectory(sim, p.initial_config(tiny.populations[0]));
-        Rng rng(1);
-        RunOptions run;
-        run.budget = tiny.interactions_per_row;
-        run.step_mode = StepMode::epoch;
-        sim.advance(trajectory, rng, run);
-        EXPECT_GT(trajectory.epoch_stats().epochs, 0u) << p.num_states() << " states";
-    }
     const auto rows = e11_throughput_sweep(tiny);
     ASSERT_EQ(rows.size(), 2u);
     for (const ThroughputRow& row : rows) {
@@ -477,6 +465,7 @@ TEST(EpochSmoke, E11SweepRowsKeepFiredAccountingUnderEpochStepping) {
         EXPECT_GT(row.fired, 0u);
         EXPECT_LE(row.fired, row.interactions);
         EXPECT_GT(row.fired_per_sec, 0.0);
+        EXPECT_GT(row.epoch.epochs, 0u) << row.num_states << " states";
     }
 }
 
