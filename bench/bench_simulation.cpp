@@ -22,10 +22,13 @@
 //                  microbenchmark numbers).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <map>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "analyze/analyze.hpp"
@@ -579,14 +582,18 @@ BENCHMARK(BM_RealisableBasisReference)->Arg(5)->Unit(benchmark::kMillisecond);
 // included, paid for exact reachability graphs on all inputs; screening
 // rejects most candidates after a few thousand simulated interactions).
 // Items = candidates processed; the screened_out counter reports how much
-// of the sample the fast path absorbed.
-void busy_beaver_sweep_bench(benchmark::State& state, bool screen, bool static_screen = false) {
+// of the sample the fast path absorbed.  The rows run serially
+// (parallelism = 1) unless they say otherwise, so they keep timing the
+// per-candidate work rather than the host's core count.
+void busy_beaver_sweep_bench(benchmark::State& state, bool screen, bool static_screen = false,
+                             unsigned parallelism = 1, std::uint64_t samples = 64) {
     search::SearchOptions options;
+    options.parallelism = parallelism;
     // The horizon is where the cost asymmetry lives: exact verification
     // explores C(i + n − 1, n − 1)-node graphs for every input i up to 24,
     // screening simulates about a thousand interactions on populations ≤ 24.
     options.max_input = 24;
-    options.sample_limit = 64;
+    options.sample_limit = samples;
     options.max_nodes_per_graph = 60'000;  // blown-budget candidates skip fast
     options.screen = screen;
     // Populations ≤ 16 that converge at all do so within a few hundred
@@ -609,7 +616,10 @@ void busy_beaver_sweep_bench(benchmark::State& state, bool screen, bool static_s
         benchmark::DoNotOptimize(outcome.best_eta);
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(candidates));
-    state.SetLabel("items_per_second: candidates");
+    std::string label = "items_per_second: candidates";
+    if (parallelism == 0)
+        label += "; workers: " + std::to_string(std::max(1u, std::thread::hardware_concurrency()));
+    state.SetLabel(label);
     state.counters["screened_out"] =
         candidates > 0 ? static_cast<double>(screened_out) / static_cast<double>(candidates) : 0;
     if (static_screen)
@@ -629,9 +639,23 @@ void BM_BusyBeaverSweepExact(benchmark::State& state) {
 void BM_BusyBeaverSweepStaticScreened(benchmark::State& state) {
     busy_beaver_sweep_bench(state, true, true);
 }
+// The n = 5 sweep of BM_BusyBeaverSweepStaticScreened on the worker pool
+// (parallelism = 0: one worker per hardware thread, named in the label).
+// 1024 samples per call instead of 64, so each call holds enough canonical
+// candidates (about one sample in 24) to keep every worker busy; the
+// candidates/s rate stays comparable.  Timed and rated by wall clock: the
+// candidates run on the workers, not on the thread whose CPU time
+// google-benchmark measures.
+void BM_BusyBeaverSweepStaticScreenedParallel(benchmark::State& state) {
+    busy_beaver_sweep_bench(state, true, true, 0, 1024);
+}
 BENCHMARK(BM_BusyBeaverSweepScreened)->Arg(4)->Arg(5)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_BusyBeaverSweepExact)->Arg(4)->Arg(5)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_BusyBeaverSweepStaticScreened)->Arg(4)->Arg(5)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_BusyBeaverSweepStaticScreenedParallel)
+    ->Arg(5)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 // --- Static analysis (ppsc-analyze) -----------------------------------------
 

@@ -1,7 +1,8 @@
 // Busy-beaver exploration: what is the largest threshold tiny protocols
 // can count to?
 //
-//   $ ./busy_beaver_explorer [n]     (default n = 2; n = 3 takes ~a minute)
+//   $ ./busy_beaver_explorer [n]     (default n = 2; n = 3 takes ~45 s on one
+//                                     core, candidates run on every core)
 //
 // Definition 1 of the paper: BB(n) = max { eta : some leaderless n-state
 // protocol computes x >= eta }.  This example enumerates every

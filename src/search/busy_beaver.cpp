@@ -9,6 +9,7 @@
 
 #include "analyze/analyze.hpp"
 #include "support/check.hpp"
+#include "support/parallel.hpp"
 #include "support/rng.hpp"
 
 namespace ppsc::search {
@@ -104,6 +105,67 @@ Protocol build_protocol(const Encoding& encoding) {
     return std::move(b).build();
 }
 
+/// What one candidate came to: the stage that decided it, and for a
+/// verified threshold below the horizon, its η.
+struct CandidateVerdict {
+    enum class Stage : std::uint8_t {
+        not_canonical,
+        static_refuted,
+        screened_out,
+        budget_skipped,
+        verified,
+    };
+    Stage stage = Stage::not_canonical;
+    std::optional<AgentCount> eta;  ///< verified threshold, set only when below the horizon
+};
+
+/// The per-candidate funnel: canonicity, protocol build, static screen,
+/// simulation screen, exact threshold inference.  A pure function of the
+/// encoding and the options (the simulation screen seeds every run from the
+/// options and the input), so candidates may be evaluated on any thread in
+/// any order.
+CandidateVerdict evaluate(const Encoding& encoding, const SearchOptions& options) {
+    using Stage = CandidateVerdict::Stage;
+    if (!is_canonical(encoding)) return {Stage::not_canonical, std::nullopt};
+    const Protocol protocol = build_protocol(encoding);
+    // Phase 0 (optional): the StaticScreen stage — zero-simulation
+    // refutation by certificate.  If every output-1 state is proven
+    // unreachable, every reachable configuration has consensus 0, so the
+    // exact infer_threshold below would return nullopt; dropping the
+    // candidate here changes cost, never verdicts.
+    if (options.static_screen) {
+        // Linear-time analysis only (no cone completion): the candidates are
+        // leaderless, where every invariant claim is subsumed by the closure
+        // certificate anyway — the cone would add per-candidate Hilbert cost
+        // and zero extra refutations.
+        analyze::AnalysisOptions screen_options;
+        screen_options.cone_state_cap = 0;
+        if (analyze::analyze_protocol(protocol, screen_options).consensus_refuted[1])
+            return {Stage::static_refuted, std::nullopt};
+    }
+    ReachabilityOptions reach;
+    reach.max_nodes = options.max_nodes_per_graph;
+    const Verifier verifier(protocol, reach);
+    // Phase 1 (optional): cheap randomized falsification.  Sound — a refuted
+    // candidate's exact infer_threshold is guaranteed nullopt
+    // (verify/verifier.hpp), so skipping it changes nothing but cost.
+    if (options.screen &&
+        verifier.screening_refutes_threshold(options.max_input, options.screening))
+        return {Stage::screened_out, std::nullopt};
+    std::optional<AgentCount> eta;
+    try {
+        eta = verifier.infer_threshold(options.max_input);
+    } catch (const std::length_error&) {
+        return {Stage::budget_skipped, std::nullopt};
+    }
+    // x >= eta must stay accepted up to the horizon, which infer_threshold
+    // guarantees; thresholds at the very horizon are indistinguishable from
+    // "accept nothing below max_input+1", so only count eta strictly below
+    // the horizon.
+    if (eta && *eta >= options.max_input) eta.reset();
+    return {Stage::verified, eta};
+}
+
 }  // namespace
 
 SearchOutcome busy_beaver_search(std::size_t n, const SearchOptions& options) {
@@ -124,97 +186,74 @@ SearchOutcome busy_beaver_search(std::size_t n, const SearchOptions& options) {
     outcome.n = n;
     outcome.exhaustive = options.sample_limit == 0;
 
-    ReachabilityOptions reach;
-    reach.max_nodes = options.max_nodes_per_graph;
-
-    std::map<AgentCount, std::uint64_t> histogram;
-
-    auto consider = [&](const Encoding& encoding) {
-        ++outcome.enumerated;
-        if (!is_canonical(encoding)) return;
-        ++outcome.canonical;
-        const Protocol protocol = build_protocol(encoding);
-        // Phase 0 (optional): the StaticScreen stage — zero-simulation
-        // refutation by certificate.  If every output-1 state is proven
-        // unreachable, every reachable configuration has consensus 0, so
-        // the exact infer_threshold below would return nullopt; dropping
-        // the candidate here changes cost, never verdicts.
-        if (options.static_screen) {
-            // Linear-time analysis only (no cone completion): the candidates
-            // are leaderless, where every invariant claim is subsumed by the
-            // closure certificate anyway — the cone would add per-candidate
-            // Hilbert cost and zero extra refutations.
-            analyze::AnalysisOptions screen_options;
-            screen_options.cone_state_cap = 0;
-            const analyze::Analysis analysis =
-                analyze::analyze_protocol(protocol, screen_options);
-            if (analysis.consensus_refuted[1]) {
-                ++outcome.static_refuted;
-                return;
+    // The candidate stream.  Exhaustive: every table under every output
+    // mask except all-0 (it accepts nothing; all-1 realises "x >= 2"
+    // trivially, so it stays), masks in increasing order and tables counted
+    // with entry 0 as the least significant digit.  Sampled: the seeded Rng
+    // draws, in order.
+    std::uint64_t total_tables = 1;
+    if (outcome.exhaustive) {
+        for (std::size_t i = 0; i < num_pairs; ++i) total_tables *= num_pairs;
+    }
+    const std::uint64_t total =
+        outcome.exhaustive ? ((std::uint64_t{1} << n) - 1) * total_tables : options.sample_limit;
+    Rng rng(options.seed);
+    std::uint64_t produced = 0;
+    const auto next_candidate = [&](Encoding& encoding) {
+        encoding.n = n;
+        encoding.table.resize(num_pairs);
+        if (outcome.exhaustive) {
+            encoding.outputs = static_cast<std::uint32_t>(1 + produced / total_tables);
+            std::uint64_t rest = produced % total_tables;
+            for (std::size_t i = 0; i < num_pairs; ++i) {
+                encoding.table[i] = static_cast<std::uint16_t>(rest % num_pairs);
+                rest /= num_pairs;
             }
+        } else {
+            encoding.outputs =
+                static_cast<std::uint32_t>(1 + rng.below((1u << n) - 1));  // not all-0
+            for (std::size_t i = 0; i < num_pairs; ++i)
+                encoding.table[i] = static_cast<std::uint16_t>(rng.below(num_pairs));
         }
-        const Verifier verifier(protocol, reach);
-        // Phase 1 (optional): cheap randomized falsification.  Sound — a
-        // refuted candidate's exact infer_threshold is guaranteed nullopt
-        // (verify/verifier.hpp), so skipping it changes nothing but cost.
-        if (options.screen &&
-            verifier.screening_refutes_threshold(options.max_input, options.screening)) {
-            ++outcome.screened_out;
-            return;
+        ++produced;
+    };
+
+    // Folds one verdict into the outcome.  Verdicts arrive in stream order,
+    // so the witness is the earliest candidate to reach the largest η.
+    std::map<AgentCount, std::uint64_t> histogram;
+    const auto tally = [&](const Encoding& encoding, const CandidateVerdict& verdict) {
+        using Stage = CandidateVerdict::Stage;
+        ++outcome.enumerated;
+        switch (verdict.stage) {
+            case Stage::not_canonical: return;
+            case Stage::static_refuted: ++outcome.static_refuted; break;
+            case Stage::screened_out: ++outcome.screened_out; break;
+            case Stage::budget_skipped: ++outcome.budget_skipped; break;
+            case Stage::verified: break;
         }
-        std::optional<AgentCount> eta;
-        try {
-            eta = verifier.infer_threshold(options.max_input);
-        } catch (const std::length_error&) {
-            ++outcome.budget_skipped;
-            return;
-        }
-        if (!eta) return;
-        // x >= eta must stay accepted up to the horizon, which
-        // infer_threshold guarantees; thresholds at the very horizon are
-        // indistinguishable from "accept nothing below max_input+1", so
-        // only count eta strictly below the horizon.
-        if (*eta >= options.max_input) return;
+        ++outcome.canonical;
+        if (!verdict.eta) return;
         ++outcome.threshold_protocols;
-        ++histogram[*eta];
-        if (*eta > outcome.best_eta) {
-            outcome.best_eta = *eta;
-            outcome.best_protocol_text = protocol.to_text();
+        ++histogram[*verdict.eta];
+        if (*verdict.eta > outcome.best_eta) {
+            outcome.best_eta = *verdict.eta;
+            outcome.best_protocol_text = build_protocol(encoding).to_text();
         }
     };
 
-    if (outcome.exhaustive) {
-        // All output masks except all-0 / all-1 (those accept or reject
-        // everything and cannot realise a threshold >= 2 anyway... all-1
-        // realises "x >= 2" trivially: keep it, drop only all-0).
-        std::uint64_t total_tables = 1;
-        for (std::size_t i = 0; i < num_pairs; ++i) total_tables *= num_pairs;
-        for (std::uint32_t outputs = 1; outputs < (1u << n); ++outputs) {
-            Encoding encoding;
-            encoding.n = n;
-            encoding.outputs = outputs;
-            encoding.table.assign(num_pairs, 0);
-            for (std::uint64_t code = 0; code < total_tables; ++code) {
-                std::uint64_t rest = code;
-                for (std::size_t i = 0; i < num_pairs; ++i) {
-                    encoding.table[i] = static_cast<std::uint16_t>(rest % num_pairs);
-                    rest /= num_pairs;
-                }
-                consider(encoding);
-            }
-        }
-    } else {
-        Rng rng(options.seed);
-        for (std::uint64_t trial = 0; trial < options.sample_limit; ++trial) {
-            Encoding encoding;
-            encoding.n = n;
-            encoding.outputs =
-                static_cast<std::uint32_t>(1 + rng.below((1u << n) - 1));  // not all-0
-            encoding.table.resize(num_pairs);
-            for (std::size_t i = 0; i < num_pairs; ++i)
-                encoding.table[i] = static_cast<std::uint16_t>(rng.below(num_pairs));
-            consider(encoding);
-        }
+    // Fixed-size blocks: generate serially, evaluate on the worker pool,
+    // tally serially in stream order.  Memory stays at one block whatever
+    // the stream's length.
+    std::vector<Encoding> block;
+    std::vector<CandidateVerdict> verdicts;
+    while (produced < total) {
+        const auto size = static_cast<std::size_t>(std::min(kCandidateBlock, total - produced));
+        block.resize(size);
+        for (Encoding& encoding : block) next_candidate(encoding);
+        verdicts.resize(size);
+        parallel_for(size, options.parallelism,
+                     [&](std::size_t i) { verdicts[i] = evaluate(block[i], options); });
+        for (std::size_t i = 0; i < size; ++i) tally(block[i], verdicts[i]);
     }
 
     outcome.eta_histogram.assign(histogram.begin(), histogram.end());

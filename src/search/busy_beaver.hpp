@@ -14,6 +14,18 @@
 // state 0 — every protocol is isomorphic to one of that form, and
 // determinism only shrinks the search space (a nondeterministic busy
 // beaver may in principle beat the deterministic record).
+//
+// Determinism and threading: a candidate's verdict (canonical or not, which
+// stage refutes it, its threshold) is a pure function of its encoding and
+// the options — the simulation screen seeds each run from the options and
+// the input, never from a shared stream.  The search therefore generates
+// candidates serially (the exhaustive counter, or the seeded sample
+// stream) in blocks of kCandidateBlock, evaluates each block on the shared
+// worker pool (support/parallel.hpp), and folds the verdicts into the
+// outcome serially in stream order.  The witness is the earliest candidate
+// to reach the largest η, and the whole SearchOutcome is identical for
+// every `parallelism` setting.  Memory holds one block, whatever the
+// stream's length.
 #pragma once
 
 #include <cstdint>
@@ -55,7 +67,13 @@ struct SearchOptions {
     /// guaranteed nullopt and verdicts/histogram/witness are identical to
     /// an unscreened run (asserted in tests/analyze_test.cpp).
     bool static_screen = false;
+    /// Worker threads evaluating candidates: 1 = serial, 0 = one per
+    /// hardware thread.  The outcome does not depend on this setting.
+    unsigned parallelism = 0;
 };
+
+/// Candidates generated, evaluated in parallel and tallied per block.
+inline constexpr std::uint64_t kCandidateBlock = 4096;
 
 struct SearchOutcome {
     std::size_t n = 0;
@@ -70,6 +88,8 @@ struct SearchOutcome {
     /// histogram[η] = number of canonical protocols computing x ≥ η.
     std::vector<std::pair<AgentCount, std::uint64_t>> eta_histogram;
     bool exhaustive = true;                ///< false when sampling
+
+    bool operator==(const SearchOutcome&) const = default;
 };
 
 /// Runs the search for n-state protocols.  Throws std::invalid_argument if

@@ -57,7 +57,7 @@ struct ConvergenceSweepOptions {
     std::size_t checkpoint_keep_last = 3;
     /// Graceful shutdown: when *stop becomes true (e.g. from a
     /// SIGTERM/SIGINT handler — std::atomic<bool> is async-signal-safe to
-    /// store to), workers stop claiming new trials and in-flight trials
+    /// store to), trials not yet started are skipped and in-flight trials
     /// stop at their next checkpoint boundary, each writing a final
     /// snapshot.  The sweep then returns normally; interrupted trials
     /// count as unconverged in the rows and resume on the next sweep.

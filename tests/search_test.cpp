@@ -3,8 +3,41 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <utility>
+#include <vector>
+
+namespace ppsc::search {
+
+// Readable failure messages for whole-outcome comparisons.
+void PrintTo(const SearchOutcome& o, std::ostream* os) {
+    *os << "{n=" << o.n << " enumerated=" << o.enumerated << " canonical=" << o.canonical
+        << " static_refuted=" << o.static_refuted << " screened_out=" << o.screened_out
+        << " budget_skipped=" << o.budget_skipped
+        << " threshold_protocols=" << o.threshold_protocols << " best_eta=" << o.best_eta
+        << " histogram=[";
+    for (const auto& [eta, count] : o.eta_histogram) *os << " " << eta << ":" << count;
+    *os << " ] witness=\n" << o.best_protocol_text << "}";
+}
+
+}  // namespace ppsc::search
+
 namespace ppsc {
 namespace {
+
+/// The sampled n = 4 settings of the bb_sampled benchmark workload: seed 1,
+/// horizon 12, one 1500-interaction screening run per input, static screen.
+search::SearchOptions sampled_options(std::uint64_t samples) {
+    search::SearchOptions options;
+    options.max_input = 12;
+    options.sample_limit = samples;
+    options.seed = 1;
+    options.screen = true;
+    options.screening.runs = 1;
+    options.screening.max_interactions = 1'500;
+    options.static_screen = true;
+    return options;
+}
 
 TEST(BusyBeaverSearch, TwoStatesExhaustive) {
     search::SearchOptions options;
@@ -33,7 +66,12 @@ TEST(BusyBeaverSearch, ThreeStatesExhaustiveMeasuredValue) {
     // 3-state protocols the best threshold is x >= 3, realised by 104
     // canonical protocols.  (Definition 1 also allows nondeterministic
     // protocols, which this enumeration does not cover.)
+    EXPECT_EQ(outcome.enumerated, 326'592u);
+    EXPECT_EQ(outcome.canonical, 163'512u);
+    EXPECT_EQ(outcome.threshold_protocols, 46'144u);
     EXPECT_EQ(outcome.best_eta, 3);
+    const std::vector<std::pair<AgentCount, std::uint64_t>> histogram = {{2, 46'040}, {3, 104}};
+    EXPECT_EQ(outcome.eta_histogram, histogram);
     // Histogram counts only verified thresholds.
     std::uint64_t total = 0;
     for (const auto& [eta, count] : outcome.eta_histogram) {
@@ -41,6 +79,59 @@ TEST(BusyBeaverSearch, ThreeStatesExhaustiveMeasuredValue) {
         total += count;
     }
     EXPECT_EQ(total, outcome.threshold_protocols);
+}
+
+// Candidates are evaluated on the worker pool and tallied in stream order,
+// so every field — the witness text included — is the same for any worker
+// count (0 = one worker per hardware thread).
+constexpr unsigned kWorkerCounts[] = {1, 2, 4, 0};
+
+TEST(BusyBeaverSearch, SampledFourStatesMeasuredValue) {
+    search::SearchOptions options = sampled_options(10'000);
+    search::SearchOutcome serial;
+    for (const unsigned parallelism : kWorkerCounts) {
+        options.parallelism = parallelism;
+        const auto outcome = search::busy_beaver_search(4, options);
+        EXPECT_FALSE(outcome.exhaustive);
+        EXPECT_EQ(outcome.enumerated, 10'000u);
+        EXPECT_EQ(outcome.canonical, 1'703u);
+        EXPECT_EQ(outcome.static_refuted, 115u);
+        EXPECT_EQ(outcome.screened_out, 80u);
+        EXPECT_EQ(outcome.budget_skipped, 0u);
+        EXPECT_EQ(outcome.threshold_protocols, 291u);
+        EXPECT_EQ(outcome.best_eta, 4);
+        const std::vector<std::pair<AgentCount, std::uint64_t>> histogram = {{2, 290}, {4, 1}};
+        EXPECT_EQ(outcome.eta_histogram, histogram);
+        if (parallelism == 1) serial = outcome;
+        EXPECT_EQ(outcome, serial) << "parallelism = " << parallelism;
+    }
+}
+
+TEST(BusyBeaverSearch, OutcomeIndependentOfWorkerCount) {
+    struct Run {
+        std::size_t n;
+        search::SearchOptions options;
+    };
+    search::SearchOptions two;
+    two.max_input = 8;
+    search::SearchOptions three;
+    three.max_input = 4;  // η = 2 and η = 3 both occur below this horizon
+    // One block plus one candidate: the last block holds a single encoding.
+    search::SearchOptions block_plus_one = sampled_options(search::kCandidateBlock + 1);
+    block_plus_one.max_input = 8;
+    for (const Run& run : {Run{2, two}, Run{3, three}, Run{4, block_plus_one}}) {
+        search::SearchOptions options = run.options;
+        search::SearchOutcome serial;
+        for (const unsigned parallelism : kWorkerCounts) {
+            options.parallelism = parallelism;
+            const auto outcome = search::busy_beaver_search(run.n, options);
+            if (parallelism == 1) {
+                serial = outcome;
+                EXPECT_GT(serial.threshold_protocols, 0u) << "n = " << run.n;
+            }
+            EXPECT_EQ(outcome, serial) << "n = " << run.n << ", parallelism = " << parallelism;
+        }
+    }
 }
 
 TEST(BusyBeaverSearch, SamplingModeWorks) {
